@@ -47,7 +47,7 @@ def make_family(seed, n_members):
 def run_one(seed, mode, n_members):
     fam = make_family(seed, n_members)
     state = pigeonhole_state(ell_matrix(fam))
-    need = required_members(state.v_count, mode)
+    need = required_members(state.distinct_values, mode)
     start = time.time()
     cert = find_sextuple(fam, mode)
     elapsed = time.time() - start
@@ -66,7 +66,7 @@ def run_one(seed, mode, n_members):
         "seed": seed,
         "kappa": fam.kappa,
         "members": len(fam),
-        "v_count": state.v_count,
+        "v_count": state.distinct_values,
         "required_members": need,
         "bound_met": len(fam) >= need,
         "found": cert is not None,

@@ -196,6 +196,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ramsey_quad(args) -> int:
+    if args.colors < 1:
+        raise InputError(f"--colors must be at least 1, got {args.colors}")
+    if args.n < 0:
+        raise InputError(f"--n must be non-negative, got {args.n}")
     rng = random.Random(args.seed)
     pair_colors = {}
 

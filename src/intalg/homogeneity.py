@@ -55,16 +55,54 @@ class SemiHomogeneityReport:
 
 @dataclass(frozen=True)
 class EllMatrix:
-    """Nesting witnesses for a per-coordinate homogeneous family."""
+    """Nesting witnesses for a per-coordinate homogeneous family.
+
+    The gap vectors are also indexed by anchor, one anchor at a time on
+    first use: each distinct vector gets a small int id, gap_ids(alpha)
+    holds the id of ell_vec(alpha, beta) at index beta > alpha, and
+    gap_buckets(alpha) maps each id to the increasing betas that carry it.
+    The index lives as long as the matrix.
+    """
 
     n_members: int
     per_coordinate: tuple  # one {(alpha, beta): ell} dict per coordinate
+    _vec_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _buckets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return tuple(d[(alpha, beta)] for d in self.per_coordinate)
 
     def pairs(self):
         return itertools.combinations(range(self.n_members), 2)
+
+    def gap_ids(self, alpha: int) -> list:
+        row = self._rows.get(alpha)
+        if row is None:
+            betas = range(alpha + 1, self.n_members)
+            columns = [[d[(alpha, b)] for b in betas] for d in self.per_coordinate]
+            vecs = zip(*columns) if columns else [()] * len(betas)
+            ids = self._vec_ids
+            row = [None] * (alpha + 1)
+            row.extend(ids.setdefault(v, len(ids)) for v in vecs)
+            self._rows[alpha] = row
+        return row
+
+    def gap_buckets(self, alpha: int) -> dict:
+        buckets = self._buckets.get(alpha)
+        if buckets is None:
+            buckets = {}
+            row = self.gap_ids(alpha)
+            for beta in range(alpha + 1, self.n_members):
+                buckets.setdefault(row[beta], []).append(beta)
+            self._buckets[alpha] = buckets
+        return buckets
+
+    def distinct_vectors(self) -> int:
+        """Number of distinct gap vectors over all pairs."""
+        for alpha in range(self.n_members):
+            self.gap_ids(alpha)
+        return len(self._vec_ids)
 
 
 def _nesting_gap(vec_alpha: tuple, sigma_beta_finite) -> int | None:
@@ -240,35 +278,28 @@ class ExtractionResult:
     log: dict = field(compare=False, default_factory=dict)
 
 
-def _group_key(fam: Family, alpha: int) -> tuple:
-    key = []
-    for a in fam.members[alpha]:
-        sig = algebra.sigma_of(a)
-        key.append(
-            (sig.n_a, NEG_INF in sig.sigma_minus, POS_INF in sig.sigma_minus)
-        )
-    return tuple(key)
+def _group_key(sigmas) -> tuple:
+    return tuple(
+        (sig.n_a, NEG_INF in sig.sigma_minus, POS_INF in sig.sigma_minus)
+        for sig in sigmas
+    )
 
 
-def _groups(fam: Family) -> list:
+def _groups(sigmas) -> list:
     groups = {}
-    for alpha in range(len(fam)):
-        groups.setdefault(_group_key(fam, alpha), []).append(alpha)
+    for alpha, member_sigmas in enumerate(sigmas):
+        groups.setdefault(_group_key(member_sigmas), []).append(alpha)
     return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
 
-def _greedy_nested(fam: Family, group, start: int) -> list:
+def _greedy_nested(sigmas, group, start: int) -> list:
     chosen = [group[start]]
     for beta in group[start + 1 :]:
         ok = True
-        for zeta in range(fam.kappa):
-            vec_fin = algebra.sigma_of(fam.members[beta][zeta]).sigma_minus - {
-                NEG_INF,
-                POS_INF,
-            }
+        for zeta, sig in enumerate(sigmas[beta]):
+            vec_fin = sig.sigma_minus - {NEG_INF, POS_INF}
             for alpha in chosen:
-                vec = algebra.sigma_of(fam.members[alpha][zeta]).vec_sigma
-                if _nesting_gap(vec, vec_fin) is None:
+                if _nesting_gap(sigmas[alpha][zeta].vec_sigma, vec_fin) is None:
                     ok = False
                     break
             if not ok:
@@ -292,7 +323,9 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     """
     if not len(fam):
         return ExtractionResult((), _trivial_parts(fam.kappa), {"strategy": "empty"})
-    groups = _groups(fam)
+    # sigmas[alpha][zeta], computed once for grouping and greedy nesting
+    sigmas = [[algebra.sigma_of(a) for a in member] for member in fam.members]
+    groups = _groups(sigmas)
     main = groups[0]
     parts = []
     for zeta in range(fam.kappa):
@@ -314,7 +347,7 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
         for start in range(len(group)):
             if len(group) - start <= len(best):
                 break
-            cand = _greedy_nested(fam, group, start)
+            cand = _greedy_nested(sigmas, group, start)
             if len(cand) > len(best):
                 best = cand
     return ExtractionResult(

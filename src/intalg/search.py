@@ -9,18 +9,18 @@ before it is returned.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import logging
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import algebra, homogeneity, terms
-from .algebra import NEG_INF, POS_INF
 from .errors import InputError
 from .homogeneity import EllMatrix
-from .product import Family, is_zero, prod_eval
+from .product import Family
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +101,17 @@ def ell_matrix(fam: Family) -> EllMatrix:
     return EllMatrix(len(fam), tuple(per_coordinate))
 
 
+# (family, its ell matrix) while pipeline() searches that family: the
+# search reuses the homogeneity checks and gap-vector index pipeline() has
+# already paid for, and find_sextuple keeps its (family, mode) signature.
+_PIPELINE_MATRIX = contextvars.ContextVar("_PIPELINE_MATRIX", default=(None, None))
+
+
+def _ell_matrix_for(fam: Family) -> EllMatrix:
+    shared_fam, matrix = _PIPELINE_MATRIX.get()
+    return matrix if shared_fam is fam else ell_matrix(fam)
+
+
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
     """Whether gap ell of member alpha (in coordinate zeta) lies inside
     or outside the member; canonicity forbids anything in between."""
@@ -114,35 +125,14 @@ def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
 
 @dataclass(frozen=True)
 class PigeonholeState:
-    """Bookkeeping for the repeated-vector search: which gap vectors
-    recur among the successors of each anchor."""
+    """Input to the pigeonhole bound: how many distinct gap vectors the
+    family's pairs show."""
 
     distinct_values: int
-    repeated_per_anchor: dict  # alpha -> frozenset of vectors seen >= 2 times
-    anchors_per_value: dict  # vector -> sorted tuple of anchors
-
-    @property
-    def v_count(self) -> int:
-        return self.distinct_values
 
 
 def pigeonhole_state(matrix: EllMatrix) -> PigeonholeState:
-    n = matrix.n_members
-    observed = set()
-    repeated = {}
-    anchors = {}
-    for alpha in range(n):
-        counts = Counter(matrix.ell_vec(alpha, beta) for beta in range(alpha + 1, n))
-        observed.update(counts)
-        rep = frozenset(v for v, c in counts.items() if c >= 2)
-        repeated[alpha] = rep
-        for v in rep:
-            anchors.setdefault(v, []).append(alpha)
-    return PigeonholeState(
-        len(observed),
-        repeated,
-        {v: tuple(sorted(a)) for v, a in anchors.items()},
-    )
+    return PigeonholeState(matrix.distinct_vectors())
 
 
 def required_members(v_count: int, mode: str) -> int:
@@ -175,35 +165,57 @@ def _sextuple_evidence(fam, matrix, idx, mode):
 def find_sextuple(fam: Family, mode: str = "short") -> Certificate | None:
     """Lexicographically least verified sextuple witness, or None.
 
-    Short mode wants the gap vector of (a0,a1), (a0,a2), (a3,a4), (a3,a5)
-    to agree; symmetric mode additionally matches (a1,a2) with (a4,a5).
-    Candidates are only accepted after coordinatewise evaluation confirms
-    the mode's term is zero on the tuple.
+    Short mode wants the gap vector v of (a0,a1), (a0,a2), (a3,a4) and
+    (a3,a5) to agree; symmetric mode additionally matches (a1,a2) with
+    (a4,a5).  Only candidates that can match are enumerated, through the
+    matrix's per-anchor gap-vector index (EllMatrix.gap_buckets): a2 runs
+    over a0's bucket for v past a1, a3 over the anchors past a2 whose
+    bucket for v holds two members, and (a4, a5) over the pairs in that
+    bucket.  An anchor's row of vector ids and its buckets are built when
+    the search first reaches it, O(n * kappa) each, so an early hit indexes
+    few anchors and an exhausted search indexes each pair once, O(n^2 *
+    kappa) in all.  The candidates come in the same lexicographic order as
+    a nest over all index tuples (tests/sextuple_oracle.py), and each is
+    only accepted after coordinatewise evaluation confirms the mode's term
+    is zero on it.
     """
     if mode not in ("short", "symmetric"):
         raise InputError(f"unknown sextuple mode {mode!r}")
-    matrix = ell_matrix(fam)
+    matrix = _ell_matrix_for(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
+    symmetric = mode == "symmetric"
+    ids, buckets = matrix.gap_ids, matrix.gap_buckets
+    # v -> the anchors found so far whose bucket for v holds a pair, and v
+    # -> the next anchor to test.  Testing starts at a0 + 3, below which no
+    # later candidate puts a3, and goes up only as far as the search asks.
+    found, scanned = {}, {}
 
-    def vec(a, b):
-        return matrix.ell_vec(a, b)
+    def pair_anchors(v, a0, a2):
+        hits = found.setdefault(v, [])
+        yield from hits[bisect_right(hits, a2) :]
+        a3 = scanned.get(v, a0 + 3)
+        while a3 < n - 2:
+            scanned[v] = a3 + 1
+            if len(buckets(a3).get(v, ())) >= 2:
+                hits.append(a3)
+                if a3 > a2:
+                    yield a3
+            a3 += 1
 
     for a0 in range(n - 5):
+        row0, buckets0 = ids(a0), buckets(a0)
         for a1 in range(a0 + 1, n - 4):
-            v = vec(a0, a1)
-            for a2 in range(a1 + 1, n - 3):
-                if vec(a0, a2) != v:
-                    continue
-                w = vec(a1, a2)
-                for a3 in range(a2 + 1, n - 2):
-                    for a4 in range(a3 + 1, n - 1):
-                        if vec(a3, a4) != v:
-                            continue
-                        for a5 in range(a4 + 1, n):
-                            if vec(a3, a5) != v:
-                                continue
-                            if mode == "symmetric" and vec(a4, a5) != w:
+            v = row0[a1]
+            peers = buckets0[v]
+            for a2 in peers[bisect_right(peers, a1) :]:
+                w = ids(a1)[a2] if symmetric else None
+                for a3 in pair_anchors(v, a0, a2):
+                    tails = buckets(a3)[v]
+                    for i, a4 in enumerate(tails):
+                        row4 = ids(a4) if symmetric else None
+                        for a5 in tails[i + 1 :]:
+                            if symmetric and row4[a5] != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if _vanishes(term, fam, idx):
@@ -357,7 +369,11 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
         "required_members": required_members(state.distinct_values, mode),
         "achieved_members": len(flat),
     }
-    cert = find_sextuple(flat, mode)
+    token = _PIPELINE_MATRIX.set((flat, matrix))
+    try:
+        cert = find_sextuple(flat, mode)
+    finally:
+        _PIPELINE_MATRIX.reset(token)
     if cert is None:
         info["insufficient"] = info["pigeonhole"]
         return PipelineResult(None, info)

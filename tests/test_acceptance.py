@@ -89,8 +89,8 @@ def _run_sextuple_campaign(mode):
     for seed in range(100):
         fam = make_campaign_family(seed)
         state = pigeonhole_state(ell_matrix(fam))
-        need = required_members(state.v_count, mode)
-        assert len(fam) >= need, (seed, state.v_count, need)
+        need = required_members(state.distinct_values, mode)
+        assert len(fam) >= need, (seed, state.distinct_values, need)
         start = time.time()
         cert = find_sextuple(fam, mode)
         elapsed = time.time() - start

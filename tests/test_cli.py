@@ -251,6 +251,18 @@ class TestRamsey:
         assert code == EXIT_NO_WITNESS
         assert json.loads(out)["found"] is False
 
+    @pytest.mark.parametrize(
+        "colors, n, flag",
+        [("0", "16", "--colors"), ("-2", "16", "--colors"), ("2", "-1", "--n")],
+    )
+    def test_bad_arguments(self, capsys, colors, n, flag):
+        code, out, err = run(
+            capsys, "ramsey", "quad", "--colors", colors, "--n", n, "--seed", "0"
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        record = json.loads(err)
+        assert record["error"] == "InputError" and flag in record["message"]
+
 
 class TestGen:
     def test_homog_validates(self, capsys, tmp_path):

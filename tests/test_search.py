@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intalg import algebra, homogeneity, product, search, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
@@ -28,6 +30,7 @@ from intalg.search import (
 )
 
 from .pointset_oracle import oracle_gap_side
+from .sextuple_oracle import naive_find_sextuple
 
 
 def column_family(columns, order_sizes):
@@ -109,19 +112,28 @@ class TestPigeonhole:
         matrix = ell_matrix(fam)
         state = pigeonhole_state(matrix)
         # recount everything from the matrix itself
-        from collections import Counter
-
-        seen = set()
-        for alpha in range(len(fam)):
-            counts = Counter(
-                matrix.ell_vec(alpha, beta) for beta in range(alpha + 1, len(fam))
-            )
-            seen.update(counts)
-            rep = frozenset(v for v, c in counts.items() if c >= 2)
-            assert state.repeated_per_anchor[alpha] == rep
-            for v in rep:
-                assert alpha in state.anchors_per_value[v]
+        n = len(fam)
+        seen = {matrix.ell_vec(a, b) for a, b in matrix.pairs()}
         assert state.distinct_values == len(seen)
+        # the gap-vector index: one id per distinct vector, buckets in order
+        vec_of_id = {}
+        for alpha in range(n):
+            row = matrix.gap_ids(alpha)
+            for beta in range(alpha + 1, n):
+                vec = matrix.ell_vec(alpha, beta)
+                assert vec_of_id.setdefault(row[beta], vec) == vec
+                assert beta in matrix.gap_buckets(alpha)[row[beta]]
+            for bucket in matrix.gap_buckets(alpha).values():
+                assert bucket == sorted(bucket)
+            assert sum(map(len, matrix.gap_buckets(alpha).values())) == n - alpha - 1
+        assert len(vec_of_id) == len(seen)
+
+    def test_index_built_per_anchor_on_demand(self):
+        matrix = ell_matrix(nested_family(6, 2, 64, 8, 4))
+        matrix.gap_buckets(3)
+        assert set(matrix._rows) == {3}
+        assert pigeonhole_state(matrix).distinct_values == len(matrix._vec_ids)
+        assert set(matrix._rows) == set(range(8))
 
     def test_required_members(self):
         assert required_members(1, "short") == 6
@@ -193,8 +205,123 @@ class TestFindSextuple:
             choices = [rng.randrange(2) for _ in range(12)]
             fam = nested_family(rng.randrange(10**6), 1, 64, 12, 4, choices)
             state = pigeonhole_state(ell_matrix(fam))
-            if len(fam) >= required_members(state.v_count, "short"):
+            if len(fam) >= required_members(state.distinct_values, "short"):
                 assert find_sextuple(fam, "short") is not None
+
+
+class TestSextupleIndexAgainstNaive:
+    """find_sextuple walks a per-anchor gap-vector index; the six-deep nest
+    in sextuple_oracle is the reference it must agree with exactly."""
+
+    @staticmethod
+    def laminar_family(rng, kappa, n):
+        """Single intervals, each inside one cell left by all earlier
+        endpoints: homogeneous, and unlike gen_homogeneous an anchor's
+        successors fall in different gaps of it."""
+        p = 3 * n + 4
+        columns = []
+        for _ in range(kappa):
+            used, column = [0, p], []
+            for _ in range(n):
+                cells = [(lo, hi) for lo, hi in zip(used, used[1:]) if hi - lo >= 3]
+                lo, hi = rng.choice(cells)
+                s, t = sorted(rng.sample(range(lo + 1, hi), 2))
+                used = sorted(used + [s, t])
+                column.append(Element(p, (s, t)))
+            columns.append(column)
+        return column_family(columns, (p,) * kappa)
+
+    @classmethod
+    def small_family(cls, rng, seed):
+        kappa = rng.randint(1, 3)
+        if seed % 2:
+            return cls.laminar_family(rng, kappa, rng.randint(6, 14))
+        n = rng.randint(6, 16)
+        k = rng.randint(2, 6)
+        p = (k - 2) * n + rng.randint(1, 20)
+        pattern = rng.choice(
+            ["free", "constant", "alternating", "two-gaps", "three-gaps"]
+        )
+        choices = {
+            "free": None,
+            "constant": [rng.randrange(k - 1)] * n,
+            "alternating": [0, max(k - 2, 0)] * n,
+            "two-gaps": [rng.randrange(min(2, k - 1)) for _ in range(n)],
+            "three-gaps": [rng.randrange(min(3, k - 1)) for _ in range(n)],
+        }[pattern]
+        return nested_family(seed, kappa, p, n, k, choices)
+
+    @staticmethod
+    def same(fam, mode):
+        got = find_sextuple(fam, mode)
+        want = naive_find_sextuple(fam, mode)
+        assert (got and got.to_dict()) == (want and want.to_dict()), mode
+        return got
+
+    def test_seeded_differential(self, monkeypatch):
+        failed_evals = []
+        vanishes = search._vanishes
+
+        def counting(term, fam, idx):
+            ok = vanishes(term, fam, idx)
+            if not ok:
+                failed_evals.append(idx)
+            return ok
+
+        monkeypatch.setattr(search, "_vanishes", counting)
+        rng = random.Random(2024)
+        outcomes = set()
+        for seed in range(300):
+            fam = self.small_family(rng, seed)
+            for mode in ("short", "symmetric"):
+                failed_evals.clear()
+                cert = self.same(fam, mode)
+                if cert is not None:
+                    assert_certificate_sound(cert, fam)
+                outcomes.add((mode, cert is not None, bool(failed_evals)))
+        # the seeds reach hits, exhausted searches, and index-matched
+        # candidates that fail evaluation both before a hit and on the way
+        # to exhausting
+        assert {
+            ("short", True, False),
+            ("short", False, False),
+            ("symmetric", True, False),
+            ("symmetric", True, True),
+            ("symmetric", False, True),
+        } <= outcomes
+
+    @given(
+        seed=st.integers(0, 10**6),
+        kappa=st.integers(1, 3),
+        n=st.integers(0, 12),
+        k=st.integers(2, 5),
+        gap=st.sampled_from(["free", "constant", "two-gaps", "laminar"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_differential(self, seed, kappa, n, k, gap):
+        if gap == "laminar":
+            fam = self.laminar_family(random.Random(seed), kappa, n)
+        else:
+            choices = {
+                "free": None,
+                "constant": [k - 2] * n,
+                "two-gaps": [(seed >> i) % min(2, k - 1) for i in range(n)],
+            }[gap]
+            fam = nested_family(seed, kappa, (k - 2) * n + 4, n, k, choices)
+        for mode in ("short", "symmetric"):
+            self.same(fam, mode)
+
+    @pytest.mark.parametrize(
+        "mode, indices",
+        [("short", (3, 4, 5, 51, 52, 53)), ("symmetric", (3, 5, 6, 51, 54, 55))],
+    )
+    def test_sentinel_beyond_the_nest(self, mode, indices):
+        # kappa=3, n=80, |sigma|=6, p=800: the six-deep nest needs seconds
+        # per mode here; these are the certificates it returns
+        fam = nested_family(2, 3, 800, 80, 6)
+        cert = find_sextuple(fam, mode)
+        assert cert is not None and cert.indices == indices
+        assert_certificate_sound(cert, fam)
 
 
 class TestRamseyQuad:
@@ -324,6 +451,20 @@ class TestPipeline:
         assert result.log["selected_indices"] == list(range(9))
         assert result.log["parts"] == [["-inf", "+inf"]]
         assert_certificate_sound(result.certificate, result_flat(fam, result))
+
+    def test_ell_matrix_built_once(self, monkeypatch):
+        built = []
+        real = search.ell_matrix
+        monkeypatch.setattr(
+            search, "ell_matrix", lambda fam: built.append(fam) or real(fam)
+        )
+        fam = nested_family(13, 1, 64, 9, 4, gap_choices=[1] * 9)
+        assert pipeline(fam, "symmetric").found
+        assert len(built) == 1
+        # outside pipeline, find_sextuple builds its own matrix again
+        flat = built[0]
+        assert find_sextuple(flat, "symmetric") is not None
+        assert len(built) == 2
 
     def test_two_segment_input_doubles_kappa(self):
         # glue two independent nested sequences on the two halves of the
