@@ -35,7 +35,7 @@ def random_falsify(n, k, samples, seed):
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         arr = rng.integers(0, k, size=(n, n))
-        if ramsey_quad(n, arr) is None:
+        if ramsey_quad(n, arr.item) is None:
             return arr
     return None
 

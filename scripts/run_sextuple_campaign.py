@@ -37,11 +37,7 @@ def make_family(seed, n_members):
         )
         for _ in range(kappa)
     ]
-    return product.Family(
-        kappa,
-        (p,) * kappa,
-        tuple(tuple(col[i] for col in cols) for i in range(n_members)),
-    )
+    return product.Family.from_columns((p,) * kappa, cols)
 
 
 def run_one(seed, mode, n_members):

@@ -103,6 +103,7 @@ class Sigma:
     sigma: frozenset
     n_a: int
     vec_sigma: tuple
+    span: tuple | None  # (least, greatest) finite endpoint, None if none
 
 
 def empty(order_size: int) -> Element:
@@ -203,11 +204,14 @@ def complement(a: Element) -> Element:
 def sigma_of(a: Element) -> Sigma:
     minus = frozenset(a.endpoints)
     sig = minus | {NEG_INF, POS_INF}
-    return Sigma(minus, sig, len(sig), tuple(sorted(sig)))
+    vec = tuple(sorted(sig))
+    span = (vec[1], vec[-2]) if len(vec) > 2 else None
+    return Sigma(minus, sig, len(sig), vec, span)
 
 
 def restrict(a: Element, lo: Endpoint, hi: Endpoint) -> Element:
-    """a restricted to [lo, hi), re-indexed over the suborder it spans."""
+    """a restricted to [lo, hi), re-indexed over the suborder it spans;
+    a itself when the window covers the whole order."""
     p = a.order_size
     for e in (lo, hi):
         if e != NEG_INF and e != POS_INF and not (
@@ -219,6 +223,8 @@ def restrict(a: Element, lo: Endpoint, hi: Endpoint) -> Element:
     lo_clip = 0 if lo == NEG_INF else int(lo)
     hi_clip = p if hi == POS_INF else int(hi)
     q = hi_clip - lo_clip
+    if q == p:
+        return a
     if q == 0:
         return empty(0)
     window_lo = NEG_INF if lo_clip == 0 else lo_clip

@@ -238,11 +238,7 @@ def _cmd_gen_homog(args) -> int:
         )
         for zeta in range(args.kappa)
     ]
-    members = tuple(
-        tuple(columns[zeta][i] for zeta in range(args.kappa))
-        for i in range(args.count)
-    )
-    fam = product.Family(args.kappa, tuple(order_sizes), members)
+    fam = product.Family.from_columns(order_sizes, columns, args.count)
     payload = fam.to_dict()
     payload["seed"] = args.seed
     _emit(args, payload)

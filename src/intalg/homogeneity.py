@@ -73,9 +73,6 @@ class EllMatrix:
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return tuple(d[(alpha, beta)] for d in self.per_coordinate)
 
-    def pairs(self):
-        return itertools.combinations(range(self.n_members), 2)
-
     def gap_ids(self, alpha: int) -> list:
         row = self._rows.get(alpha)
         if row is None:
@@ -105,12 +102,13 @@ class EllMatrix:
         return len(self._vec_ids)
 
 
-def _nesting_gap(vec_alpha: tuple, sigma_beta_finite) -> int | None:
-    """Least ell with vec_alpha[ell] < s < vec_alpha[ell+1] for all s,
-    or None; ell defaults to 0 when beta has no finite endpoints."""
-    if not sigma_beta_finite:
+def _nesting_gap(vec_alpha: tuple, span) -> int | None:
+    """Least ell with vec_alpha[ell] < s < vec_alpha[ell+1] for every
+    finite endpoint s of beta, given beta's Sigma.span, or None; ell
+    defaults to 0 when beta has no finite endpoints."""
+    if span is None:
         return 0
-    lo, hi = min(sigma_beta_finite), max(sigma_beta_finite)
+    lo, hi = span
     ell = bisect_left(vec_alpha, lo) - 1
     if ell < 0 or vec_alpha[ell] >= lo:
         return None
@@ -139,8 +137,7 @@ def check_homogeneous(seq) -> HomogeneityReport:
             )
     ell = {}
     for alpha, beta in itertools.combinations(range(len(seq)), 2):
-        finite = sigmas[beta].sigma_minus - {NEG_INF, POS_INF}
-        gap = _nesting_gap(sigmas[alpha].vec_sigma, finite)
+        gap = _nesting_gap(sigmas[alpha].vec_sigma, sigmas[beta].span)
         if gap is None:
             return HomogeneityReport(
                 False,
@@ -297,9 +294,8 @@ def _greedy_nested(sigmas, group, start: int) -> list:
     for beta in group[start + 1 :]:
         ok = True
         for zeta, sig in enumerate(sigmas[beta]):
-            vec_fin = sig.sigma_minus - {NEG_INF, POS_INF}
             for alpha in chosen:
-                if _nesting_gap(sigmas[alpha][zeta].vec_sigma, vec_fin) is None:
+                if _nesting_gap(sigmas[alpha][zeta].vec_sigma, sig.span) is None:
                     ok = False
                     break
             if not ok:

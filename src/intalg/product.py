@@ -53,13 +53,24 @@ class Family:
         }
 
     @classmethod
+    def from_columns(cls, order_sizes, columns, n_members=0) -> "Family":
+        """The family whose coordinate zeta lists columns[zeta] in member
+        order; without columns, n_members members with no coordinates."""
+        members = tuple(zip(*columns)) if columns else ((),) * n_members
+        if any(len(col) != len(members) for col in columns):
+            raise InputError("columns differ in length")
+        return cls(len(order_sizes), tuple(order_sizes), members)
+
+    @classmethod
     def from_dict(cls, data: dict) -> "Family":
         try:
             kappa = data["kappa"]
-            order_sizes = tuple(data["order_sizes"])
+            order_sizes = data["order_sizes"]
             raw_members = data["elements"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed family: {exc}") from exc
+        _check_family_shape(kappa, order_sizes, raw_members)
+        order_sizes = tuple(order_sizes)
         members = tuple(
             tuple(
                 Element.from_json(order_sizes[zeta], eps)
@@ -68,6 +79,34 @@ class Family:
             for member in raw_members
         )
         return cls(kappa, order_sizes, members)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_family_shape(kappa, order_sizes, raw_members) -> None:
+    """Reject family JSON whose shape Family.from_dict cannot read."""
+    if not _is_count(kappa):
+        raise InputError(f"malformed family: kappa {kappa!r} is not a count")
+    if not isinstance(order_sizes, list) or not all(map(_is_count, order_sizes)):
+        raise InputError(
+            f"malformed family: order_sizes {order_sizes!r} is not a list of counts"
+        )
+    if len(order_sizes) != kappa:
+        raise InputError("kappa does not match order_sizes")
+    if not isinstance(raw_members, list):
+        raise InputError("malformed family: elements is not a list")
+    for alpha, member in enumerate(raw_members):
+        if (
+            not isinstance(member, list)
+            or len(member) != kappa
+            or not all(isinstance(eps, list) for eps in member)
+        ):
+            raise InputError(
+                f"malformed family: member {alpha} is not a list of {kappa} "
+                "endpoint lists"
+            )
 
 
 @dataclass(frozen=True)

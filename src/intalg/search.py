@@ -15,8 +15,6 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import algebra, homogeneity, terms
 from .errors import InputError
 from .homogeneity import EllMatrix
@@ -235,36 +233,34 @@ def ramsey_quad(n: int, colors):
     """Least alpha0<alpha1<alpha2<alpha3 whose four cross pairs share one
     color, or None after scanning every quadruple.
 
-    colors is either a callable on pairs (i, j) with i < j or a 2-D array
-    indexed the same way.
+    colors is a callable on pairs (i, j) with i < j.  Row i of the color
+    table (colors(i, j) for every j > i, in increasing j) is drawn when the
+    scan first reaches i; rows are reached in increasing i, so colors sees
+    its pairs in lexicographic order, and an early hit draws few rows.
     """
-    if isinstance(colors, np.ndarray):
-        C = colors
-        is_array = True
-    else:
-        C = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                C[i][j] = colors(i, j)
-        is_array = False
+    rows = []
+
+    def row(i):
+        if i == len(rows):
+            rows.append([None] * (i + 1) + [colors(i, j) for j in range(i + 1, n)])
+        return rows[i]
+
     for a0 in range(n - 3):
+        row0 = row(a0)
         for a1 in range(a0 + 1, n - 2):
-            if is_array:
-                cols = np.nonzero(C[a0, a1 + 1 :] == C[a1, a1 + 1 :])[0] + a1 + 1
-            else:
-                cols = [
-                    j for j in range(a1 + 1, n) if C[a0][j] == C[a1][j]
-                ]
+            row1 = row(a1)
             first = {}
             best = None
-            for j in cols:
-                v = C[a0][j] if not is_array else C[a0, j]
+            for j in range(a1 + 1, n):
+                v = row0[j]
+                if v != row1[j]:
+                    continue
                 if v in first:
-                    cand = (first[v], int(j))
+                    cand = (first[v], j)
                     if best is None or cand < best:
                         best = cand
                 else:
-                    first[v] = int(j)
+                    first[v] = j
             if best is not None:
                 return (a0, a1, best[0], best[1])
     return None
@@ -287,13 +283,13 @@ def _quadruple_evidence(fam, matrix, idx):
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
-    The pair coloring by gap vectors is only a search heuristic: a
-    pattern hit is accepted solely on evaluation, and exhaustive search
-    over all quadruples is the fallback.
+    The pair coloring by gap vectors (as their EllMatrix.gap_ids) is only
+    a search heuristic: a pattern hit is accepted solely on evaluation, and
+    exhaustive search over all quadruples is the fallback.
     """
     matrix = ell_matrix(fam)
     n = len(fam)
-    idx = ramsey_quad(n, matrix.ell_vec) if n >= 4 else None
+    idx = ramsey_quad(n, lambda i, j: matrix.gap_ids(i)[j]) if n >= 4 else None
     if idx is not None:
         if _vanishes(TERM_QUAD, fam, idx):
             return Certificate(
@@ -331,15 +327,8 @@ def flatten(fam: Family, indices, parts):
                 [algebra.restrict(fam.members[alpha][zeta], lo, hi) for alpha in indices]
             )
             flatten_map.append((zeta, m))
-    members = tuple(
-        tuple(col[i] for col in new_columns) for i in range(len(indices))
-    )
-    order_sizes = tuple(
-        col[0].order_size if col else 0 for col in new_columns
-    )
-    if not indices:
-        order_sizes = tuple(0 for _ in new_columns)
-    return Family(len(new_columns), order_sizes, members), flatten_map
+    order_sizes = [col[0].order_size if col else 0 for col in new_columns]
+    return Family.from_columns(order_sizes, new_columns, len(indices)), flatten_map
 
 
 def pipeline(raw: Family, mode: str = "short") -> PipelineResult:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import algebra
 from .algebra import Element
 from .errors import CapacityError, InputError
@@ -253,17 +251,20 @@ def minterms(t: Term, n: int) -> MintermSet:
         raise CapacityError(f"{n} variables exceed cap {MAX_TRUTH_TABLE_VARS}")
     if n < num_vars(t):
         raise InputError(f"term uses {num_vars(t)} variables, n={n}")
-    rows = np.arange(1 << n, dtype=np.uint32)
+    # Truth table as an int: bit r is row r, in which x_i is bit n-1-i of r.
+    ones = (1 << (1 << n)) - 1
 
-    def go(node: Term) -> np.ndarray:
+    def go(node: Term) -> int:
         if isinstance(node, Var):
-            return ((rows >> (n - 1 - node.index)) & 1).astype(bool)
+            # blocks of 2^k zeros then 2^k ones, repeated, for k = n-1-i
+            k = n - 1 - node.index
+            return ones // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
         if isinstance(node, Zero):
-            return np.zeros(1 << n, dtype=bool)
+            return 0
         if isinstance(node, One):
-            return np.ones(1 << n, dtype=bool)
+            return ones
         if isinstance(node, Compl):
-            return ~go(node.arg)
+            return ones ^ go(node.arg)
         if isinstance(node, Meet):
             return go(node.left) & go(node.right)
         if isinstance(node, Join):
@@ -272,10 +273,11 @@ def minterms(t: Term, n: int) -> MintermSet:
             return go(node.left) ^ go(node.right)
         raise InputError(f"unknown term node {node!r}")
 
-    table = go(t)
+    bits = bin(go(t))[:1:-1]  # bits[r] is row r
     signs = frozenset(
-        tuple(int(r >> (n - 1 - i)) & 1 for i in range(n))
-        for r in np.nonzero(table)[0]
+        tuple(r >> (n - 1 - i) & 1 for i in range(n))
+        for r, bit in enumerate(bits)
+        if bit == "1"
     )
     return MintermSet(n, signs)
 

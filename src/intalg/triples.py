@@ -118,10 +118,7 @@ def verify_triples(max_p: int, max_k: int) -> SweepReport:
             # pairwise nesting gaps; None marks a clause-3 failure
             gap = [
                 [
-                    homogeneity._nesting_gap(
-                        sigs[i].vec_sigma,
-                        sigs[j].sigma_minus - {algebra.NEG_INF, algebra.POS_INF},
-                    )
+                    homogeneity._nesting_gap(sigs[i].vec_sigma, sigs[j].span)
                     for j in range(size)
                 ]
                 for i in range(size)

@@ -54,11 +54,7 @@ def make_campaign_family(seed, n_members=22):
         )
         for _ in range(kappa)
     ]
-    return Family(
-        kappa,
-        (p,) * kappa,
-        tuple(tuple(col[i] for col in cols) for i in range(n_members)),
-    )
+    return Family.from_columns((p,) * kappa, cols)
 
 
 def test_triple_sweep_exhaustive():
@@ -130,7 +126,7 @@ def test_ramsey_quadruple_campaigns():
         for _ in range(100_000 // batch):
             tables = rng.integers(0, colors, size=(batch, n, n))
             for i in range(batch):
-                assert ramsey_quad(n, tables[i]) is not None, (colors, n)
+                assert ramsey_quad(n, tables[i].item) is not None, (colors, n)
                 found += 1
         assert found == 100_000
     # verified quadruple certificates on the homogeneous-family campaign

@@ -154,11 +154,23 @@ class TestSigma:
         assert sig.vec_sigma == (NEG_INF, 1, 8, POS_INF)
         assert sig.n_a == 4
 
+    def test_span(self):
+        assert algebra.sigma_of(algebra.empty(5)).span is None
+        assert algebra.sigma_of(algebra.full(5)).span is None
+        assert algebra.sigma_of(Element(5, (NEG_INF, 2))).span == (2, 2)
+        assert algebra.sigma_of(Element(12, (1, 3, 8, POS_INF))).span == (1, 8)
+
 
 class TestRestrict:
     def test_identity_window(self):
         a = Element(7, (1, 3, 5, POS_INF))
         assert algebra.restrict(a, NEG_INF, POS_INF) == a
+
+    def test_whole_order_window_returns_input(self):
+        for a in (Element(7, (1, 3, 5, POS_INF)), algebra.full(4), algebra.empty(0)):
+            assert algebra.restrict(a, NEG_INF, POS_INF) is a
+            if a.order_size:
+                assert algebra.restrict(a, 0, POS_INF) is a
 
     def test_empty_element(self):
         assert algebra.restrict(algebra.empty(9), 2, 6).is_empty()

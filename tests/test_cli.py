@@ -1,6 +1,11 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
 
+import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +154,29 @@ class TestHomog:
         assert report["homogeneous"] is False
         assert report["coordinates"][0]["violation"]["clause"] == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kappa": 1, "order_sizes": [5], "elements": [[[1, 3], [2, 4]]]},
+            {"kappa": 1, "order_sizes": [5], "elements": [[]]},
+            {"kappa": 1, "order_sizes": ["5"], "elements": [[[1, 3]]]},
+            {"kappa": 1, "order_sizes": [-5], "elements": []},
+            {"kappa": 1, "order_sizes": [5], "elements": [5]},
+            {"kappa": 1, "order_sizes": [5], "elements": [[5]]},
+            {"kappa": 2, "order_sizes": [5], "elements": [[[1, 3], [2, 4]]]},
+            {"kappa": "1", "order_sizes": [5], "elements": []},
+            {"kappa": 1, "order_sizes": 5, "elements": []},
+            {"kappa": 1, "order_sizes": [5], "elements": {"0": []}},
+            [1, 2, 3],
+        ],
+    )
+    def test_check_malformed_family(self, capsys, tmp_path, data):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "homog", "check", "--family", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
     def test_extract_with_parts_file(self, capsys, tmp_path):
         path, _ = nested_family_file(tmp_path, n=5)
         parts_path = tmp_path / "parts.json"
@@ -250,6 +278,20 @@ class TestRamsey:
         )
         assert code == EXIT_NO_WITNESS
         assert json.loads(out)["found"] is False
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_eagerly_drawn_table(self, capsys, seed):
+        rng = random.Random(seed)
+        table = {(i, j): rng.randrange(3) for i in range(30) for j in range(i + 1, 30)}
+        want = next(
+            [a0, a1, a2, a3]
+            for a0, a1, a2, a3 in itertools.combinations(range(30), 4)
+            if table[a0, a2] == table[a0, a3] == table[a1, a2] == table[a1, a3]
+        )
+        code, out, _ = run(
+            capsys, "ramsey", "quad", "--colors", "3", "--n", "30", "--seed", str(seed)
+        )
+        assert code == EXIT_OK and json.loads(out)["quadruple"] == want
 
     @pytest.mark.parametrize(
         "colors, n, flag",
@@ -374,6 +416,13 @@ class TestDeterminism:
         for p in paths:
             assert main(argv + ["--out", str(p)]) in (EXIT_OK, EXIT_NO_WITNESS)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, intalg.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestAtomicWrite:

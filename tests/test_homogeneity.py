@@ -84,6 +84,20 @@ class TestCheckHomogeneous:
                 vec = algebra.sigma_of(seq[alpha]).vec_sigma
                 assert ell == gap_scan(vec, seq[beta])
 
+    def test_nesting_gap_matches_gap_scan_oracle(self):
+        # random pairs, so that nesting also fails (None) and beta may
+        # have no finite endpoints (span None)
+        rng = random.Random(14)
+        outcomes = set()
+        for _ in range(2000):
+            p = rng.randint(0, 10)
+            a, b = random_element(rng, p), random_element(rng, p)
+            vec = algebra.sigma_of(a).vec_sigma
+            got = homogeneity._nesting_gap(vec, algebra.sigma_of(b).span)
+            assert got == gap_scan(vec, b)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
 
 class TestSemiHomogeneous:
     def test_trivial_parts_reduce_to_homogeneous(self):
@@ -232,19 +246,10 @@ class TestGenHomogeneous:
             gen_homogeneous(0, 64, 3, 4, gap_pool=[0], gap_choices=[0, 0, 0])
 
 
-def column_family(columns, order_sizes):
-    n = len(columns[0])
-    return Family(
-        len(columns),
-        tuple(order_sizes),
-        tuple(tuple(col[i] for col in columns) for i in range(n)),
-    )
-
-
 class TestExtract:
     def test_already_homogeneous(self):
         cols = [gen_homogeneous(z, 40, 5, 4) for z in range(2)]
-        fam = column_family(cols, (40, 40))
+        fam = Family.from_columns((40, 40), cols)
         result = extract_semi_homogeneous(fam)
         assert result.indices == tuple(range(5))
         for zeta, cuts in enumerate(result.parts):
@@ -256,7 +261,7 @@ class TestExtract:
         # two adversarial members with a different sigma size
         cols[0][2] = algebra.empty(40)
         cols[0][4] = algebra.full(40)
-        fam = column_family(cols, (40,))
+        fam = Family.from_columns((40,), cols)
         result = extract_semi_homogeneous(fam)
         oracle = exhaustive_max_homogeneous(fam)
         assert set(result.indices) == set(oracle) == {0, 1, 3, 5}

@@ -53,6 +53,16 @@ class TestFamily:
         with pytest.raises(InputError):
             Family.from_dict({"kappa": 1})
 
+    def test_from_columns(self):
+        a, b = algebra.empty(3), algebra.full(3)
+        c, d = algebra.empty(4), algebra.full(4)
+        fam = Family.from_columns((3, 4), [[a, b], [c, d]])
+        assert fam == Family(2, (3, 4), ((a, c), (b, d)))
+        assert Family.from_columns([3], [[]]) == Family(1, (3,), ())
+        assert Family.from_columns((), [], 3) == Family(0, (), ((), (), ()))
+        with pytest.raises(InputError):
+            Family.from_columns((3, 3), [[a, b], [a]])
+
 
 class TestProdEval:
     def test_self_symdiff_is_zero(self):

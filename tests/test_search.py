@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,21 +32,12 @@ from .pointset_oracle import oracle_gap_side
 from .sextuple_oracle import naive_find_sextuple
 
 
-def column_family(columns, order_sizes):
-    n = len(columns[0])
-    return Family(
-        len(columns),
-        tuple(order_sizes),
-        tuple(tuple(col[i] for col in columns) for i in range(n)),
-    )
-
-
 def nested_family(seed, kappa, p, n, k, gap_choices=None):
     cols = [
         gen_homogeneous(seed * 1000003 + z, p, n, k, gap_choices=gap_choices)
         for z in range(kappa)
     ]
-    return column_family(cols, (p,) * kappa)
+    return Family.from_columns((p,) * kappa, cols)
 
 
 class TestEllMatrix:
@@ -67,8 +57,8 @@ class TestEllMatrix:
             gen_homogeneous(0, 32, 4, 4, gap_choices=[0] * 4),
             gen_homogeneous(0, 32, 4, 4, gap_choices=[1] * 4),
         ]
-        matrix = ell_matrix(column_family(cols, (32, 32)))
-        for alpha, beta in matrix.pairs():
+        matrix = ell_matrix(Family.from_columns((32, 32), cols))
+        for alpha, beta in itertools.combinations(range(4), 2):
             assert matrix.ell_vec(alpha, beta) == (0, 1)
 
     def test_non_homogeneous_named_in_error(self):
@@ -77,22 +67,22 @@ class TestEllMatrix:
             [Element(9, (1, 3)), Element(9, (2, 5)), Element(9, (4, 6))],
         ]
         with pytest.raises(InputError, match="coordinate 1.*clause 3"):
-            ell_matrix(column_family(cols, (32, 9)))
+            ell_matrix(Family.from_columns((32, 9), cols))
 
 
 class TestGapSide:
     def test_interval_examples(self):
-        fam = column_family([[Element(12, (1, 8))]], (12,))
+        fam = Family.from_columns((12,), [[Element(12, (1, 8))]])
         assert gap_side(fam, 0, 0, 1) == INSIDE
         assert gap_side(fam, 0, 0, 0) == OUTSIDE
         assert gap_side(fam, 0, 0, 2) == OUTSIDE
 
     def test_full_element(self):
-        fam = column_family([[algebra.full(5)]], (5,))
+        fam = Family.from_columns((5,), [[algebra.full(5)]])
         assert gap_side(fam, 0, 0, 0) == INSIDE
 
     def test_out_of_range(self):
-        fam = column_family([[Element(12, (1, 8))]], (12,))
+        fam = Family.from_columns((12,), [[Element(12, (1, 8))]])
         with pytest.raises(InputError):
             gap_side(fam, 0, 0, 3)
 
@@ -101,7 +91,7 @@ class TestGapSide:
         for _ in range(200):
             seq = gen_homogeneous(rng.randrange(2**32), 24, 1, rng.randint(2, 6))
             a = seq[0]
-            fam = column_family([[a]], (24,))
+            fam = Family.from_columns((24,), [[a]])
             for ell in range(algebra.sigma_of(a).n_a - 1):
                 assert gap_side(fam, 0, 0, ell) == oracle_gap_side(a, ell)
 
@@ -113,7 +103,9 @@ class TestPigeonhole:
         state = pigeonhole_state(matrix)
         # recount everything from the matrix itself
         n = len(fam)
-        seen = {matrix.ell_vec(a, b) for a, b in matrix.pairs()}
+        seen = {
+            matrix.ell_vec(a, b) for a, b in itertools.combinations(range(n), 2)
+        }
         assert state.distinct_values == len(seen)
         # the gap-vector index: one id per distinct vector, buckets in order
         vec_of_id = {}
@@ -156,7 +148,7 @@ class TestFindSextuple:
         # repeated members pass the homogeneity precondition only when they
         # have no finite endpoints (strict nesting is vacuous then)
         a = algebra.empty(16)
-        fam = column_family([[a] * 6], (16,))
+        fam = Family.from_columns((16,), [[a] * 6])
         cert = find_sextuple(fam, "short")
         assert cert is not None
         assert_certificate_sound(cert, fam)
@@ -229,7 +221,7 @@ class TestSextupleIndexAgainstNaive:
                 used = sorted(used + [s, t])
                 column.append(Element(p, (s, t)))
             columns.append(column)
-        return column_family(columns, (p,) * kappa)
+        return Family.from_columns((p,) * kappa, columns)
 
     @classmethod
     def small_family(cls, rng, seed):
@@ -366,20 +358,43 @@ class TestRamseyQuad:
             color = lambda i, j: table[(i, j)]
             assert ramsey_quad(n, color) == self.brute_force(n, color)
 
-    def test_array_path_matches_callable_path(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            n = int(rng.integers(4, 20))
-            arr = rng.integers(0, 3, size=(n, n))
-            got = ramsey_quad(n, arr)
-            want = ramsey_quad(n, lambda i, j: int(arr[i, j]))
-            assert got == want
+    def test_colors_drawn_in_lexicographic_order(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            n = rng.randint(4, 14)
+            table = {
+                (i, j): rng.randrange(3) for i in range(n) for j in range(i + 1, n)
+            }
+            seen = []
+
+            def color(i, j):
+                seen.append((i, j))
+                return table[(i, j)]
+
+            got = ramsey_quad(n, color)
+            assert got == self.brute_force(n, lambda i, j: table[(i, j)])
+            assert seen == sorted(seen) and len(set(seen)) == len(seen)
+            # whole rows only, and none past the last row the scan needed
+            rows = sorted({i for i, _ in seen})
+            assert rows == list(range(len(rows)))
+            assert seen == [(i, j) for i in rows for j in range(i + 1, n)]
+
+    def test_early_hit_draws_only_its_rows(self):
+        seen = []
+
+        def color(i, j):
+            seen.append((i, j))
+            return 0
+
+        assert ramsey_quad(40, color) == (0, 1, 2, 3)
+        assert {i for i, _ in seen} == {0, 1}
+        assert len(seen) == 39 + 38
 
 
 class TestFindQuadruple:
     def test_two_identical_pairs(self):
         a = algebra.empty(16)
-        fam = column_family([[a, a, a, a]], (16,))
+        fam = Family.from_columns((16,), [[a, a, a, a]])
         cert = find_quadruple(fam)
         assert cert is not None
         assert cert.indices == (0, 1, 2, 3)
@@ -395,6 +410,32 @@ class TestFindQuadruple:
     def test_too_small(self):
         fam = nested_family(11, 1, 64, 3, 4)
         assert find_quadruple(fam) is None
+
+    def test_gap_ids_color_like_gap_vectors(self):
+        rng = random.Random(31)
+        hits = 0
+        for _ in range(40):
+            n = rng.randint(4, 12)
+            choices = [rng.randrange(3) for _ in range(n)]
+            kappa = rng.randint(1, 3)
+            fam = nested_family(rng.randrange(10**6), kappa, 64, n, 5, choices)
+            matrix = ell_matrix(fam)
+            want = ramsey_quad(n, matrix.ell_vec)
+            assert ramsey_quad(n, lambda i, j: matrix.gap_ids(i)[j]) == want
+            if want is None or not is_zero(prod_eval(TERM_QUAD, fam, want)):
+                want = next(
+                    (
+                        q
+                        for q in itertools.combinations(range(n), 4)
+                        if is_zero(prod_eval(TERM_QUAD, fam, q))
+                    ),
+                    None,
+                )
+            else:
+                hits += 1
+            cert = find_quadruple(fam)
+            assert (cert.indices if cert else None) == want
+        assert hits > 0
 
 
 class TestTermDomination:
@@ -476,7 +517,7 @@ class TestPipeline:
             Element(60, (*a.endpoints, 30, int(b.endpoints[1]) + 30))
             for a, b in zip(lo, hi)
         ]
-        fam = column_family([glued], (60,))
+        fam = Family.from_columns((60,), [glued])
         result = pipeline(fam, "short")
         assert result.found
         assert len(result.log["flatten_map"]) == 2

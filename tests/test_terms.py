@@ -1,5 +1,6 @@
 """Parser, renderer, evaluator and the free-algebra (minterm) semantics."""
 
+import itertools
 import random
 
 import pytest
@@ -207,3 +208,20 @@ def test_free_algebra_soundness_500_pairs():
 def test_hypothesis_random_term_round_trip(seed):
     t = random_term(random.Random(seed))
     assert terms.parse(terms.render(t)) == t
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_minterms_match_two_element_evaluation(seed, extra):
+    # order size 1 is the two-element algebra: x_i -> full when sign i is 1
+    t = random_term(random.Random(seed), 4, 5)
+    n = terms.num_vars(t) + extra
+    signs = terms.minterms(t, n).signs
+    for vector in itertools.product((0, 1), repeat=n):
+        assignment = [algebra.full(1) if s else algebra.empty(1) for s in vector]
+        value = terms.evaluate(t, assignment, order_size=1)
+        assert value.is_full() == (vector in signs)
+        assert value.is_full() or value.is_empty()
