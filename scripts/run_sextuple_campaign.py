@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from intalg import homogeneity, product, terms
+from intalg import homogeneity, product
 from intalg.search import (
     ell_matrix,
     find_sextuple,
@@ -42,22 +42,13 @@ def make_family(seed, n_members):
 
 def run_one(seed, mode, n_members):
     fam = make_family(seed, n_members)
-    state = pigeonhole_state(ell_matrix(fam))
+    matrix = ell_matrix(fam)
+    state = pigeonhole_state(matrix)
     need = required_members(state.distinct_values, mode)
     start = time.time()
-    cert = find_sextuple(fam, mode)
+    cert = find_sextuple(fam, mode, matrix)
     elapsed = time.time() - start
-    verified = False
-    if cert is not None:
-        members = [fam.members[i] for i in cert.indices]
-        verified = all(
-            terms.evaluate(
-                cert.term,
-                [m[zeta] for m in members],
-                order_size=fam.order_sizes[zeta],
-            ).is_empty()
-            for zeta in range(fam.kappa)
-        )
+    verified = cert is not None and product.vanishes(cert.term, fam, cert.indices)
     return {
         "seed": seed,
         "kappa": fam.kappa,

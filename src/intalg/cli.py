@@ -74,6 +74,8 @@ def gen_random_family(
     order_sizes = tuple(order_sizes)
     if len(order_sizes) != kappa:
         raise InputError("order_sizes length must equal kappa")
+    if N < 0:
+        raise InputError(f"negative member count {N}")
     if order_sizes and max_intervals * 2 + 2 > min(order_sizes):
         raise CapacityError(
             f"{max_intervals} intervals need order size >= {max_intervals * 2 + 2}"
@@ -227,7 +229,7 @@ def _cmd_gen_homog(args) -> int:
         order_sizes = order_sizes * args.kappa
     if len(order_sizes) != args.kappa:
         raise InputError("--orders must list one size, or one per coordinate")
-    gap_pool = _parse_int_list(args.gap_pool) if args.gap_pool else None
+    gap_pool = None if args.gap_pool is None else _parse_int_list(args.gap_pool)
     columns = [
         homogeneity.gen_homogeneous(
             args.seed * 1000003 + zeta,

@@ -57,49 +57,17 @@ class SemiHomogeneityReport:
 class EllMatrix:
     """Nesting witnesses for a per-coordinate homogeneous family.
 
-    The gap vectors are also indexed by anchor, one anchor at a time on
-    first use: each distinct vector gets a small int id, gap_ids(alpha)
-    holds the id of ell_vec(alpha, beta) at index beta > alpha, and
-    gap_buckets(alpha) maps each id to the increasing betas that carry it.
-    The index lives as long as the matrix.
+    The gap vectors are indexed by small int ids, equal ids for equal
+    vectors: ids[alpha][beta], for beta > alpha, is the id of
+    ell_vec(alpha, beta), and distinct_vectors is the number of ids.
     """
 
-    n_members: int
     per_coordinate: tuple  # one {(alpha, beta): ell} dict per coordinate
-    _vec_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _buckets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ids: tuple  # one list per anchor alpha, None at indices <= alpha
+    distinct_vectors: int
 
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return tuple(d[(alpha, beta)] for d in self.per_coordinate)
-
-    def gap_ids(self, alpha: int) -> list:
-        row = self._rows.get(alpha)
-        if row is None:
-            betas = range(alpha + 1, self.n_members)
-            columns = [[d[(alpha, b)] for b in betas] for d in self.per_coordinate]
-            vecs = zip(*columns) if columns else [()] * len(betas)
-            ids = self._vec_ids
-            row = [None] * (alpha + 1)
-            row.extend(ids.setdefault(v, len(ids)) for v in vecs)
-            self._rows[alpha] = row
-        return row
-
-    def gap_buckets(self, alpha: int) -> dict:
-        buckets = self._buckets.get(alpha)
-        if buckets is None:
-            buckets = {}
-            row = self.gap_ids(alpha)
-            for beta in range(alpha + 1, self.n_members):
-                buckets.setdefault(row[beta], []).append(beta)
-            self._buckets[alpha] = buckets
-        return buckets
-
-    def distinct_vectors(self) -> int:
-        """Number of distinct gap vectors over all pairs."""
-        for alpha in range(self.n_members):
-            self.gap_ids(alpha)
-        return len(self._vec_ids)
 
 
 def _nesting_gap(vec_alpha: tuple, span) -> int | None:
@@ -231,13 +199,16 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
     rng = random.Random(seed)
     if gap_pool is not None and gap_choices is not None:
         raise InputError("gap_pool and gap_choices are mutually exclusive")
+    if gap_pool is not None:
+        gap_pool = list(gap_pool)
+        if not gap_pool:
+            raise InputError("gap pool is empty")
     if gap_choices is not None:
         gap_choices = list(gap_choices)
         if len(gap_choices) < N:
             raise InputError(f"need {N} gap choices, got {len(gap_choices)}")
         gap_pool = gap_choices
     if gap_pool is not None:
-        gap_pool = list(gap_pool)
         for g in gap_pool:
             if not 0 <= g <= m:
                 raise InputError(f"gap index {g} out of range 0..{m}")

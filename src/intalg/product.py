@@ -56,6 +56,8 @@ class Family:
     def from_columns(cls, order_sizes, columns, n_members=0) -> "Family":
         """The family whose coordinate zeta lists columns[zeta] in member
         order; without columns, n_members members with no coordinates."""
+        if n_members < 0:
+            raise InputError(f"negative member count {n_members}")
         members = tuple(zip(*columns)) if columns else ((),) * n_members
         if any(len(col) != len(members) for col in columns):
             raise InputError("columns differ in length")
@@ -141,6 +143,18 @@ def prod_eval(t: terms.Term, fam: Family, indices) -> list:
 def is_zero(values) -> bool:
     """A product value is zero iff every coordinate is empty."""
     return all(a.is_empty() for a in values)
+
+
+def vanishes(t: terms.Term, fam: Family, indices) -> bool:
+    """Whether t is zero on the chosen members, evaluated coordinate by
+    coordinate up to the first nonempty one."""
+    members = [fam.members[i] for i in indices]
+    return all(
+        terms.evaluate(
+            t, [m[zeta] for m in members], order_size=fam.order_sizes[zeta]
+        ).is_empty()
+        for zeta in range(fam.kappa)
+    )
 
 
 def _pattern_meet(order_size, elements, pattern) -> Element:

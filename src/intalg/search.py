@@ -9,7 +9,6 @@ before it is returned.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import logging
 from bisect import bisect_right
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from . import algebra, homogeneity, terms
 from .errors import InputError
 from .homogeneity import EllMatrix
-from .product import Family
+from .product import Family, vanishes
 
 log = logging.getLogger(__name__)
 
@@ -34,20 +33,6 @@ MODE_TERMS = {
 
 INSIDE = "inside"
 OUTSIDE = "outside"
-
-
-def _vanishes(term, fam, indices) -> bool:
-    """Coordinatewise zero test with early exit."""
-    members = [fam.members[i] for i in indices]
-    for zeta in range(fam.kappa):
-        value = terms.evaluate(
-            term,
-            [m[zeta] for m in members],
-            order_size=fam.order_sizes[zeta],
-        )
-        if not value.is_empty():
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -85,7 +70,8 @@ class Certificate:
 
 
 def ell_matrix(fam: Family) -> EllMatrix:
-    """Nesting-gap witnesses for every pair, bundled over coordinates."""
+    """Nesting-gap witnesses for every pair, bundled over coordinates,
+    with their gap vectors indexed by id."""
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -96,18 +82,22 @@ def ell_matrix(fam: Family) -> EllMatrix:
                 f"fails on pair {v.pair}"
             )
         per_coordinate.append(report.ell)
-    return EllMatrix(len(fam), tuple(per_coordinate))
-
-
-# (family, its ell matrix) while pipeline() searches that family: the
-# search reuses the homogeneity checks and gap-vector index pipeline() has
-# already paid for, and find_sextuple keeps its (family, mode) signature.
-_PIPELINE_MATRIX = contextvars.ContextVar("_PIPELINE_MATRIX", default=(None, None))
-
-
-def _ell_matrix_for(fam: Family) -> EllMatrix:
-    shared_fam, matrix = _PIPELINE_MATRIX.get()
-    return matrix if shared_fam is fam else ell_matrix(fam)
+    n = len(fam)
+    # a pair iterator per coordinate, not one list of the n^2/2 pairs, so
+    # that no pair tuple outlives its lookups
+    columns = [
+        map(d.__getitem__, itertools.combinations(range(n), 2))
+        for d in per_coordinate
+    ]
+    vecs = zip(*columns) if columns else [()] * (n * (n - 1) // 2)
+    vec_ids = {}
+    # ids in pair order, alpha-major: row alpha takes the next n - alpha - 1
+    flat = iter([vec_ids.setdefault(v, len(vec_ids)) for v in vecs])
+    ids = tuple(
+        [None] * (alpha + 1) + list(itertools.islice(flat, n - alpha - 1))
+        for alpha in range(n)
+    )
+    return EllMatrix(tuple(per_coordinate), ids, len(vec_ids))
 
 
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
@@ -130,7 +120,7 @@ class PigeonholeState:
 
 
 def pigeonhole_state(matrix: EllMatrix) -> PigeonholeState:
-    return PigeonholeState(matrix.distinct_vectors())
+    return PigeonholeState(matrix.distinct_vectors)
 
 
 def required_members(v_count: int, mode: str) -> int:
@@ -160,63 +150,58 @@ def _sextuple_evidence(fam, matrix, idx, mode):
     return tuple(per_coordinate)
 
 
-def find_sextuple(fam: Family, mode: str = "short") -> Certificate | None:
+def find_sextuple(
+    fam: Family, mode: str = "short", matrix: EllMatrix | None = None
+) -> Certificate | None:
     """Lexicographically least verified sextuple witness, or None.
 
     Short mode wants the gap vector v of (a0,a1), (a0,a2), (a3,a4) and
     (a3,a5) to agree; symmetric mode additionally matches (a1,a2) with
-    (a4,a5).  Only candidates that can match are enumerated, through the
-    matrix's per-anchor gap-vector index (EllMatrix.gap_buckets): a2 runs
-    over a0's bucket for v past a1, a3 over the anchors past a2 whose
-    bucket for v holds two members, and (a4, a5) over the pairs in that
-    bucket.  An anchor's row of vector ids and its buckets are built when
-    the search first reaches it, O(n * kappa) each, so an early hit indexes
-    few anchors and an exhausted search indexes each pair once, O(n^2 *
-    kappa) in all.  The candidates come in the same lexicographic order as
-    a nest over all index tuples (tests/sextuple_oracle.py), and each is
-    only accepted after coordinatewise evaluation confirms the mode's term
-    is zero on it.
+    (a4,a5).  Only candidates that can match are enumerated: one pass over
+    the gap-vector ids of the family's ell matrix (built here unless the
+    caller passes it) buckets each anchor's successors by id and lists,
+    per id, the anchors whose bucket holds two members.  a2 runs over a0's
+    bucket for v past a1, a3 over the anchors for v past a2, and (a4, a5)
+    over the pairs in a3's bucket.  The candidates come in the same
+    lexicographic order as a nest over all index tuples
+    (tests/sextuple_oracle.py), and each is only accepted after
+    coordinatewise evaluation confirms the mode's term is zero on it.
     """
     if mode not in ("short", "symmetric"):
         raise InputError(f"unknown sextuple mode {mode!r}")
-    matrix = _ell_matrix_for(fam)
+    if matrix is None:
+        matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
     symmetric = mode == "symmetric"
-    ids, buckets = matrix.gap_ids, matrix.gap_buckets
-    # v -> the anchors found so far whose bucket for v holds a pair, and v
-    # -> the next anchor to test.  Testing starts at a0 + 3, below which no
-    # later candidate puts a3, and goes up only as far as the search asks.
-    found, scanned = {}, {}
-
-    def pair_anchors(v, a0, a2):
-        hits = found.setdefault(v, [])
-        yield from hits[bisect_right(hits, a2) :]
-        a3 = scanned.get(v, a0 + 3)
-        while a3 < n - 2:
-            scanned[v] = a3 + 1
-            if len(buckets(a3).get(v, ())) >= 2:
-                hits.append(a3)
-                if a3 > a2:
-                    yield a3
-            a3 += 1
+    ids = matrix.ids
+    buckets = []  # buckets[a][v]: the betas > a with id v, increasing
+    anchors = {}  # v -> the anchors whose bucket for v holds a pair
+    for a, row in enumerate(ids):
+        bucket = {}
+        for beta in range(a + 1, n):
+            bucket.setdefault(row[beta], []).append(beta)
+        buckets.append(bucket)
+        for v, betas in bucket.items():
+            if len(betas) >= 2:
+                anchors.setdefault(v, []).append(a)
 
     for a0 in range(n - 5):
-        row0, buckets0 = ids(a0), buckets(a0)
+        row0, buckets0 = ids[a0], buckets[a0]
         for a1 in range(a0 + 1, n - 4):
             v = row0[a1]
-            peers = buckets0[v]
+            peers, pair_anchors = buckets0[v], anchors.get(v, [])
             for a2 in peers[bisect_right(peers, a1) :]:
-                w = ids(a1)[a2] if symmetric else None
-                for a3 in pair_anchors(v, a0, a2):
-                    tails = buckets(a3)[v]
+                w = ids[a1][a2] if symmetric else None
+                for a3 in pair_anchors[bisect_right(pair_anchors, a2) :]:
+                    tails = buckets[a3][v]
                     for i, a4 in enumerate(tails):
-                        row4 = ids(a4) if symmetric else None
+                        row4 = ids[a4]
                         for a5 in tails[i + 1 :]:
                             if symmetric and row4[a5] != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
-                            if _vanishes(term, fam, idx):
+                            if vanishes(term, fam, idx):
                                 return Certificate(
                                     idx,
                                     term,
@@ -283,21 +268,21 @@ def _quadruple_evidence(fam, matrix, idx):
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
-    The pair coloring by gap vectors (as their EllMatrix.gap_ids) is only
+    The pair coloring by gap vectors (as their EllMatrix.ids) is only
     a search heuristic: a pattern hit is accepted solely on evaluation, and
     exhaustive search over all quadruples is the fallback.
     """
     matrix = ell_matrix(fam)
     n = len(fam)
-    idx = ramsey_quad(n, lambda i, j: matrix.gap_ids(i)[j]) if n >= 4 else None
+    idx = ramsey_quad(n, lambda i, j: matrix.ids[i][j]) if n >= 4 else None
     if idx is not None:
-        if _vanishes(TERM_QUAD, fam, idx):
+        if vanishes(TERM_QUAD, fam, idx):
             return Certificate(
                 idx, TERM_QUAD, "quadruple", _quadruple_evidence(fam, matrix, idx)
             )
         log.warning("gap-vector quadruple %s failed evaluation", idx)
     for quad in itertools.combinations(range(n), 4):
-        if _vanishes(TERM_QUAD, fam, quad):
+        if vanishes(TERM_QUAD, fam, quad):
             return Certificate(
                 quad, TERM_QUAD, "quadruple", _quadruple_evidence(fam, matrix, quad)
             )
@@ -358,11 +343,7 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
         "required_members": required_members(state.distinct_values, mode),
         "achieved_members": len(flat),
     }
-    token = _PIPELINE_MATRIX.set((flat, matrix))
-    try:
-        cert = find_sextuple(flat, mode)
-    finally:
-        _PIPELINE_MATRIX.reset(token)
+    cert = find_sextuple(flat, mode, matrix)
     if cert is None:
         info["insufficient"] = info["pigeonhole"]
         return PipelineResult(None, info)

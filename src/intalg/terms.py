@@ -23,6 +23,11 @@ from .errors import CapacityError, InputError
 
 MAX_TRUTH_TABLE_VARS = 20
 MAX_VAR_INDEX = 10**6
+# Open '(' plus stacked '-' at any point of a term.  The parser spends four
+# stack frames per '(' and render, evaluate, num_vars and minterms at most
+# one per level, so a term at this depth needs about 800 frames: inside
+# Python's default recursion limit of 1000, with room for the callers.
+MAX_TERM_DEPTH = 200
 
 
 class Term:
@@ -90,6 +95,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -135,15 +141,21 @@ class _Parser:
         c = self.peek()
         if c is None:
             raise ParseError("unexpected end of input", self.pos)
-        if c == "-":
+        if c in "-(":
+            if self.depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH}", self.pos
+                )
+            self.depth += 1
             self.take()
-            return Compl(self.atom())
-        if c == "(":
-            self.take()
-            t = self.term()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.take()
+            if c == "-":
+                t = Compl(self.atom())
+            else:
+                t = self.term()
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.take()
+            self.depth -= 1
             return t
         if c == "0":
             self.take()

@@ -7,13 +7,8 @@ search.find_sextuple must reproduce.
 """
 
 from intalg.errors import InputError
-from intalg.search import (
-    MODE_TERMS,
-    Certificate,
-    _sextuple_evidence,
-    _vanishes,
-    ell_matrix,
-)
+from intalg.product import vanishes
+from intalg.search import MODE_TERMS, Certificate, _sextuple_evidence, ell_matrix
 
 
 def naive_find_sextuple(fam, mode="short"):
@@ -43,7 +38,7 @@ def naive_find_sextuple(fam, mode="short"):
                             if mode == "symmetric" and vec(a4, a5) != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
-                            if _vanishes(term, fam, idx):
+                            if vanishes(term, fam, idx):
                                 return Certificate(
                                     idx,
                                     term,

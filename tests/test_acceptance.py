@@ -117,17 +117,31 @@ def test_symmetric_sextuple_campaign():
     report(f"symmetric-mode campaign: 100/100 certificates, worst {worst:.3f}s")
 
 
+def drawn_on_demand(rng, colors, n):
+    """Uniform random coloring of the pairs i < j < n whose row i, the
+    colors of (i, j) for every j > i, is drawn from rng when first asked
+    for; ramsey_quad asks for rows in increasing i, and a hit at a1 = 1
+    draws two of them."""
+    rows = {}
+
+    def color(i, j):
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = rng.integers(0, colors, size=n - i - 1).tolist()
+        return row[j - i - 1]
+
+    return color
+
+
 def test_ramsey_quadruple_campaigns():
     """Cross-equal quadruples exist in 10^5 random colorings at the bound."""
     rng = np.random.default_rng(2026)
     for colors, n in ((2, 16), (3, 162)):
         found = 0
-        batch = 1000
-        for _ in range(100_000 // batch):
-            tables = rng.integers(0, colors, size=(batch, n, n))
-            for i in range(batch):
-                assert ramsey_quad(n, tables[i].item) is not None, (colors, n)
-                found += 1
+        for _ in range(100_000):
+            coloring = drawn_on_demand(rng, colors, n)
+            assert ramsey_quad(n, coloring) is not None, (colors, n)
+            found += 1
         assert found == 100_000
     # verified quadruple certificates on the homogeneous-family campaign
     for seed in range(20):

@@ -13,6 +13,7 @@ from intalg import algebra, cli, homogeneity, product
 from intalg.cli import EXIT_INPUT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
 from intalg.errors import CapacityError
 from intalg.product import Family
+from intalg.terms import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -398,6 +399,44 @@ class TestGen:
     def test_random_capacity(self):
         with pytest.raises(CapacityError):
             cli.gen_random_family(0, 1, (5,), 3, 4)
+
+
+class TestRobustness:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["eval", "--term", "(" * 300 + "x0" + ")" * 300], "ParseError"),
+            (["eval", "--term=" + "-" * 1000 + "x0"], "ParseError"),
+            (["gen", "homog", "--seed", "0", "--orders", "32", "--count", "4",
+              "--sigma-size", "4", "--gap-pool", ""], "InputError"),
+            (["gen", "random", "--seed", "0", "--orders", "8", "--count", "-2",
+              "--max-intervals", "2"], "InputError"),
+            (["gen", "homog", "--seed", "0", "--kappa", "0", "--orders", "",
+              "--count", "-2", "--sigma-size", "4"], "InputError"),
+        ],
+    )
+    def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):
+        if argv[0] == "eval":
+            path, _ = nested_family_file(tmp_path)
+            argv = argv + ["--family", str(path), "--assign", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "term",
+        ["(" * MAX_TERM_DEPTH + "x0" + ")" * MAX_TERM_DEPTH, "-" * MAX_TERM_DEPTH + "x0"],
+    )
+    def test_term_at_depth_bound_evaluates(self, capsys, tmp_path, term):
+        path, fam = nested_family_file(tmp_path)
+        code, out, _ = run(
+            capsys, "eval", "--term=" + term, "--family", str(path), "--assign", "0"
+        )
+        assert code == EXIT_OK
+        value = fam.members[0][0]
+        if term.count("-") % 2:
+            value = ~value
+        assert json.loads(out)["coordinates"] == [value.to_json()]
 
 
 class TestDeterminism:

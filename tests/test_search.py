@@ -107,25 +107,18 @@ class TestPigeonhole:
             matrix.ell_vec(a, b) for a, b in itertools.combinations(range(n), 2)
         }
         assert state.distinct_values == len(seen)
-        # the gap-vector index: one id per distinct vector, buckets in order
+        # the gap-vector index: equal ids exactly for equal vectors
+        assert matrix.distinct_vectors == len(seen)
+        assert len(matrix.ids) == n
         vec_of_id = {}
-        for alpha in range(n):
-            row = matrix.gap_ids(alpha)
+        for alpha, row in enumerate(matrix.ids):
+            assert row[: alpha + 1] == [None] * (alpha + 1)
+            assert len(row) == n
             for beta in range(alpha + 1, n):
                 vec = matrix.ell_vec(alpha, beta)
                 assert vec_of_id.setdefault(row[beta], vec) == vec
-                assert beta in matrix.gap_buckets(alpha)[row[beta]]
-            for bucket in matrix.gap_buckets(alpha).values():
-                assert bucket == sorted(bucket)
-            assert sum(map(len, matrix.gap_buckets(alpha).values())) == n - alpha - 1
         assert len(vec_of_id) == len(seen)
-
-    def test_index_built_per_anchor_on_demand(self):
-        matrix = ell_matrix(nested_family(6, 2, 64, 8, 4))
-        matrix.gap_buckets(3)
-        assert set(matrix._rows) == {3}
-        assert pigeonhole_state(matrix).distinct_values == len(matrix._vec_ids)
-        assert set(matrix._rows) == set(range(8))
+        assert sorted(vec_of_id) == list(range(len(seen)))
 
     def test_required_members(self):
         assert required_members(1, "short") == 6
@@ -252,7 +245,7 @@ class TestSextupleIndexAgainstNaive:
 
     def test_seeded_differential(self, monkeypatch):
         failed_evals = []
-        vanishes = search._vanishes
+        vanishes = search.vanishes
 
         def counting(term, fam, idx):
             ok = vanishes(term, fam, idx)
@@ -260,7 +253,7 @@ class TestSextupleIndexAgainstNaive:
                 failed_evals.append(idx)
             return ok
 
-        monkeypatch.setattr(search, "_vanishes", counting)
+        monkeypatch.setattr(search, "vanishes", counting)
         rng = random.Random(2024)
         outcomes = set()
         for seed in range(300):
@@ -421,7 +414,7 @@ class TestFindQuadruple:
             fam = nested_family(rng.randrange(10**6), kappa, 64, n, 5, choices)
             matrix = ell_matrix(fam)
             want = ramsey_quad(n, matrix.ell_vec)
-            assert ramsey_quad(n, lambda i, j: matrix.gap_ids(i)[j]) == want
+            assert ramsey_quad(n, lambda i, j: matrix.ids[i][j]) == want
             if want is None or not is_zero(prod_eval(TERM_QUAD, fam, want)):
                 want = next(
                     (
@@ -502,8 +495,12 @@ class TestPipeline:
         fam = nested_family(13, 1, 64, 9, 4, gap_choices=[1] * 9)
         assert pipeline(fam, "symmetric").found
         assert len(built) == 1
-        # outside pipeline, find_sextuple builds its own matrix again
+        # a matrix passed in is used as is; without one, find_sextuple
+        # builds its own
         flat = built[0]
+        matrix = real(flat)
+        assert find_sextuple(flat, "symmetric", matrix) is not None
+        assert len(built) == 1
         assert find_sextuple(flat, "symmetric") is not None
         assert len(built) == 2
 

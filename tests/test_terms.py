@@ -65,6 +65,22 @@ class TestParse:
         with pytest.raises(terms.ParseError):
             terms.parse(f"x{10**7}")
 
+    @pytest.mark.parametrize(
+        "open_, close",
+        [("(", ")"), ("-", ""), ("-(", ")"), ("x1*(", ")"), ("x1^-(", ")")],
+    )
+    def test_nesting_depth_bound(self, open_, close):
+        # open '(' plus stacked '-' reach MAX_TERM_DEPTH exactly
+        levels = terms.MAX_TERM_DEPTH // (open_.count("(") + open_.count("-"))
+        text = open_ * levels + "x0" + close * levels
+        t = terms.parse(text)
+        assert terms.parse(terms.render(t)) == t
+        terms.evaluate(t, [algebra.full(3)] * 2)
+        assert terms.num_vars(t) == (2 if "x1" in open_ else 1)
+        terms.minterms(t, 2)
+        with pytest.raises(terms.ParseError, match="nested deeper"):
+            terms.parse("(" + text + ")")
+
 
 class TestRender:
     def test_round_trip_examples(self):
