@@ -6,11 +6,15 @@ order type matters).  Elements are finite unions of half-open intervals
 are -inf, +inf and the interior points 1..p-1; the minimum point 0 never
 appears as an endpoint, so every element has exactly one representation and
 endpoint-list equality is set equality.
+
+Every operation reads one parity rule: a point x is in an element exactly
+when an odd number of its endpoints are <= x (-inf lies at or below every
+point).  So an endpoint is a point where membership flips, and symmetric
+difference and complement are XORs of endpoint sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -117,19 +121,14 @@ def full(order_size: int) -> Element:
 
 
 def from_point_set(order_size: int, points) -> Element:
-    pts = sorted(set(points))
-    if pts and not (0 <= pts[0] and pts[-1] < order_size):
-        raise InputError(f"point outside 0..{order_size - 1}: {pts}")
-    eps = []
-    i = 0
-    while i < len(pts):
-        j = i
-        while j + 1 < len(pts) and pts[j + 1] == pts[j] + 1:
-            j += 1
-        lo = NEG_INF if pts[i] == 0 else pts[i]
-        hi = POS_INF if pts[j] + 1 == order_size else pts[j] + 1
-        eps.extend((lo, hi))
-        i = j + 1
+    pts = set(points)
+    if pts and not (0 <= min(pts) and max(pts) < order_size):
+        raise InputError(f"point outside 0..{order_size - 1}: {sorted(pts)}")
+    # the x in 0..p at which membership flips between x - 1 and x
+    flips = sorted(
+        x for x in pts | {y + 1 for y in pts} if (x in pts) != (x - 1 in pts)
+    )
+    eps = (NEG_INF if x == 0 else POS_INF if x == order_size else x for x in flips)
     return Element(order_size, tuple(eps))
 
 
@@ -143,31 +142,24 @@ def to_point_set(a: Element) -> set:
     return out
 
 
-def _member_at(endpoints: tuple, x) -> bool:
-    """Membership on [x, next endpoint); constant between endpoints."""
-    return bisect_right(endpoints, x) % 2 == 1
-
-
-_BINOPS = {
-    "meet": lambda u, v: u and v,
-    "join": lambda u, v: u or v,
-    "symdiff": lambda u, v: u != v,
-}
-
-
-def binop(kind: str, a: Element, b: Element) -> Element:
+def _check_orders(a: Element, b: Element):
     if a.order_size != b.order_size:
         raise InputError(
             f"mismatched order sizes: {a.order_size} != {b.order_size}"
         )
-    try:
-        op = _BINOPS[kind]
-    except KeyError:
-        raise InputError(f"unknown operation {kind!r}") from None
+
+
+def _sweep(a: Element, b: Element, both: bool) -> Element:
+    """meet (both) or join of a and b: the merged endpoints at which
+    membership of the result flips."""
+    _check_orders(a, b)
+    set_a, set_b = set(a.endpoints), set(b.endpoints)
     out = []
-    inside = False
-    for x in sorted(set(a.endpoints) | set(b.endpoints)):
-        now = op(_member_at(a.endpoints, x), _member_at(b.endpoints, x))
+    in_a = in_b = inside = False
+    for x in sorted(set_a | set_b):
+        in_a ^= x in set_a
+        in_b ^= x in set_b
+        now = (in_a and in_b) if both else (in_a or in_b)
         if now != inside:
             out.append(x)
             inside = now
@@ -175,30 +167,26 @@ def binop(kind: str, a: Element, b: Element) -> Element:
 
 
 def meet(a: Element, b: Element) -> Element:
-    return binop("meet", a, b)
+    return _sweep(a, b, True)
 
 
 def join(a: Element, b: Element) -> Element:
-    return binop("join", a, b)
+    return _sweep(a, b, False)
+
+
+def _xor(u: tuple, v: tuple) -> tuple:
+    return tuple(sorted(set(u).symmetric_difference(v)))
 
 
 def symdiff(a: Element, b: Element) -> Element:
-    return binop("symdiff", a, b)
+    _check_orders(a, b)
+    return Element(a.order_size, _xor(a.endpoints, b.endpoints))
 
 
 def complement(a: Element) -> Element:
     if a.order_size == 0:
         return a
-    eps = list(a.endpoints)
-    if eps and eps[0] == NEG_INF:
-        del eps[0]
-    else:
-        eps.insert(0, NEG_INF)
-    if eps and eps[-1] == POS_INF:
-        del eps[-1]
-    else:
-        eps.append(POS_INF)
-    return Element(a.order_size, tuple(eps))
+    return Element(a.order_size, _xor(a.endpoints, (NEG_INF, POS_INF)))
 
 
 def sigma_of(a: Element) -> Sigma:
@@ -227,22 +215,11 @@ def restrict(a: Element, lo: Endpoint, hi: Endpoint) -> Element:
         return a
     if q == 0:
         return empty(0)
-    window_lo = NEG_INF if lo_clip == 0 else lo_clip
-    window_hi = POS_INF if hi_clip == p else hi_clip
-    clipped = meet(a, Element(p, (window_lo, window_hi)))
-    out = []
-    for e in clipped.endpoints:
-        if e == NEG_INF:
-            out.append(NEG_INF)
-            continue
-        if e == POS_INF:
-            out.append(POS_INF)
-            continue
-        shifted = int(e) - lo_clip
-        if shifted <= 0:
-            out.append(NEG_INF)
-        elif shifted >= q:
-            out.append(POS_INF)
-        else:
-            out.append(shifted)
+    # parity at the window's first point opens the result; the endpoints
+    # strictly inside follow, shifted; parity so far closes it
+    eps = a.endpoints
+    out = [NEG_INF] if sum(e <= lo_clip for e in eps) % 2 else []
+    out += [e - lo_clip for e in eps if lo_clip < e < hi_clip]
+    if len(out) % 2:
+        out.append(POS_INF)
     return Element(q, tuple(out))

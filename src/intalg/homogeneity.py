@@ -20,7 +20,6 @@ from .errors import CapacityError, InputError
 from .product import Family
 
 MAX_CUT_CANDIDATES = 20
-EXHAUSTIVE_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -320,19 +319,3 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     return ExtractionResult(
         tuple(best), _trivial_parts(fam.kappa), {"strategy": "greedy-nesting"}
     )
-
-
-def exhaustive_max_homogeneous(fam: Family) -> tuple:
-    """Largest per-coordinate homogeneous index subset, by exhaustive
-    search (test oracle; lexicographically least among maximum)."""
-    n = len(fam)
-    if n > EXHAUSTIVE_ORACLE_CAP:
-        raise CapacityError(f"{n} members exceed cap {EXHAUSTIVE_ORACLE_CAP}")
-    for size in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            if all(
-                check_homogeneous([fam.members[a][z] for a in subset]).ok
-                for z in range(fam.kappa)
-            ):
-                return subset
-    return ()

@@ -107,7 +107,8 @@ def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
     sig = algebra.sigma_of(a)
     if not 0 <= ell < sig.n_a - 1:
         raise InputError(f"gap index {ell} out of range for |sigma|={sig.n_a}")
-    inside = algebra._member_at(a.endpoints, sig.vec_sigma[ell])
+    starts_inside = a.endpoints[:1] == (algebra.NEG_INF,)
+    inside = (ell + starts_inside) % 2 == 1
     return INSIDE if inside else OUTSIDE
 
 

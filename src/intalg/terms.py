@@ -23,10 +23,11 @@ from .errors import CapacityError, InputError
 
 MAX_TRUTH_TABLE_VARS = 20
 MAX_VAR_INDEX = 10**6
-# Open '(' plus stacked '-' at any point of a term.  The parser spends four
-# stack frames per '(' and render, evaluate, num_vars and minterms at most
-# one per level, so a term at this depth needs about 800 frames: inside
-# Python's default recursion limit of 1000, with room for the callers.
+# Bounds both the open '(' plus stacked '-' at any point of a term and the
+# height of its tree in operators.  The parser spends four stack frames per
+# '(' and render, evaluate, num_vars and minterms one per operator level, so
+# a term at this depth needs about 800 frames: inside Python's default
+# recursion limit of 1000, with room for the callers.
 MAX_TERM_DEPTH = 200
 
 
@@ -111,33 +112,43 @@ class _Parser:
         return c
 
     def parse(self) -> Term:
-        t = self.term()
+        t, _ = self.term()
         if self.peek() is not None:
             raise ParseError(f"unexpected {self.peek()!r}", self.pos)
         return t
 
-    def term(self) -> Term:
+    # term, xor, factor and atom return (node, height in operators)
+
+    def node(self, cls, *parts) -> tuple:
+        height = 1 + max(h for _, h in parts)
+        if height > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term more than {MAX_TERM_DEPTH} operators high", self.pos
+            )
+        return cls(*(t for t, _ in parts)), height
+
+    def term(self) -> tuple:
         t = self.xor()
         while self.peek() == "+":
             self.take()
-            t = Join(t, self.xor())
+            t = self.node(Join, t, self.xor())
         return t
 
-    def xor(self) -> Term:
+    def xor(self) -> tuple:
         t = self.factor()
         while self.peek() == "^":
             self.take()
-            t = SymDiff(t, self.factor())
+            t = self.node(SymDiff, t, self.factor())
         return t
 
-    def factor(self) -> Term:
+    def factor(self) -> tuple:
         t = self.atom()
         while self.peek() == "*":
             self.take()
-            t = Meet(t, self.atom())
+            t = self.node(Meet, t, self.atom())
         return t
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple:
         c = self.peek()
         if c is None:
             raise ParseError("unexpected end of input", self.pos)
@@ -149,7 +160,7 @@ class _Parser:
             self.depth += 1
             self.take()
             if c == "-":
-                t = Compl(self.atom())
+                t = self.node(Compl, self.atom())
             else:
                 t = self.term()
                 if self.peek() != ")":
@@ -159,10 +170,10 @@ class _Parser:
             return t
         if c == "0":
             self.take()
-            return ZERO
+            return ZERO, 0
         if c == "1":
             self.take()
-            return ONE
+            return ONE, 0
         if c == "x":
             self.take()
             start = self.pos
@@ -173,7 +184,7 @@ class _Parser:
             index = int(self.text[start : self.pos])
             if index > MAX_VAR_INDEX:
                 raise ParseError(f"variable index {index} too large", start)
-            return Var(index)
+            return Var(index), 0
         raise ParseError(f"unexpected {c!r}", self.pos)
 
 

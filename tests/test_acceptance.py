@@ -5,14 +5,16 @@ doubles as a one-page acceptance report; a failure shows up both as the
 missing line and as the usual pytest failure.
 """
 
+import importlib.util
 import itertools
+import pathlib
 import random
 import time
 
 import numpy as np
 import pytest
 
-from intalg import algebra, homogeneity, product, search, terms, triples
+from intalg import algebra, product, search, terms, triples
 from intalg.algebra import NEG_INF, POS_INF
 from intalg.product import Family, is_zero, prod_eval
 from intalg.search import (
@@ -37,24 +39,17 @@ def report(name):
     print(f"PASS {name}")
 
 
-def make_campaign_family(seed, n_members=22):
-    """Seeded per-coordinate homogeneous family with few gap-vector values.
+def _load_script(name):
+    """Import scripts/<name>.py, which is not part of the package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    One shared gap label per nesting level keeps the number of distinct
-    gap vectors at <= 2 regardless of kappa, so the pigeonhole bounds stay
-    at desk scale; kappa and the order sizes still vary with the seed.
-    """
-    rng = random.Random(seed)
-    kappa = rng.randint(1, 3)
-    p = rng.choice([24, 28, 32])
-    choices = [rng.randrange(2) for _ in range(n_members)]
-    cols = [
-        homogeneity.gen_homogeneous(
-            rng.randrange(2**32), p, n_members, 3, gap_choices=choices
-        )
-        for _ in range(kappa)
-    ]
-    return Family.from_columns((p,) * kappa, cols)
+
+# seeded per-coordinate homogeneous families with few gap-vector values
+make_campaign_family = _load_script("run_sextuple_campaign").make_family
 
 
 def test_triple_sweep_exhaustive():
@@ -83,7 +78,7 @@ def test_triple_sweep_extended():
 def _run_sextuple_campaign(mode):
     worst = 0.0
     for seed in range(100):
-        fam = make_campaign_family(seed)
+        fam = make_campaign_family(seed, 22)
         state = pigeonhole_state(ell_matrix(fam))
         need = required_members(state.distinct_values, mode)
         assert len(fam) >= need, (seed, state.distinct_values, need)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intalg import algebra
@@ -37,6 +37,22 @@ class TestCanonicalForm:
         assert algebra.to_point_set(algebra.empty(5)) == set()
         assert algebra.to_point_set(Element(3, (NEG_INF, POS_INF))) == {0, 1, 2}
         assert algebra.to_point_set(Element(5, (NEG_INF, 2, 4, POS_INF))) == {0, 1, 4}
+
+    def test_point_set_round_trip_large(self):
+        rng = random.Random(1024)
+        p = 1024
+        for _ in range(20):
+            # runs of random length, so both ends of the order and single
+            # points show up among them
+            pts, x = set(), rng.randrange(2)
+            while x < p:
+                run = rng.randint(1, 40)
+                pts.update(range(x, min(p, x + run)))
+                x += run + rng.randint(1, 40)
+            a = algebra.from_point_set(p, pts)
+            assert algebra.to_point_set(a) == pts
+            assert oracle_points(a) == pts
+            assert algebra.from_point_set(p, algebra.to_point_set(a)) == a
 
     def test_out_of_range_point(self):
         with pytest.raises(InputError):
@@ -98,10 +114,6 @@ class TestOperations:
     def test_mismatched_orders(self):
         with pytest.raises(InputError):
             algebra.meet(algebra.empty(3), algebra.empty(4))
-
-    def test_unknown_binop(self):
-        with pytest.raises(InputError):
-            algebra.binop("nand", algebra.empty(3), algebra.empty(3))
 
     @pytest.mark.parametrize("p", range(7))
     def test_oracle_equivalence_exhaustive(self, p):
@@ -196,6 +208,33 @@ class TestRestrict:
                 r = algebra.restrict(a, lo, hi)
                 assert oracle_points(r) == oracle_restrict(a, lo, hi)
 
+    @pytest.mark.parametrize("p", [64, 1024])
+    def test_oracle_equivalence_seeded_large(self, p):
+        rng = random.Random(p)
+        for _ in range(3):
+            a = many_intervals(rng, p, rng.randint(10, 20))
+            finite = [e for e in a.endpoints if e not in (NEG_INF, POS_INF)]
+            # windows open or close on an endpoint, one point before or after
+            # it, at 0, -inf or +inf
+            cuts = {NEG_INF, 0, POS_INF}
+            cuts.update(e + d for e in finite for d in (-1, 0, 1))
+            cuts = sorted(c for c in cuts if c in (NEG_INF, POS_INF) or 0 <= c < p)
+            windows = set()
+            for i, c in enumerate(cuts):
+                if i + 1 < len(cuts):
+                    windows.add((c, rng.choice(cuts[i + 1 :])))
+                if i:
+                    windows.add((rng.choice(cuts[:i]), c))
+            for lo, hi in windows:
+                r = algebra.restrict(a, lo, hi)
+                assert oracle_points(r) == oracle_restrict(a, lo, hi), (lo, hi)
+
+
+def many_intervals(rng, p, count):
+    """Element over order size p with count intervals at random points."""
+    pool = [NEG_INF, *range(1, p), POS_INF]
+    return Element(p, tuple(sorted(rng.sample(pool, 2 * count))))
+
 
 class TestEndpointEncoding:
     def test_round_trip(self):
@@ -253,3 +292,14 @@ def test_hypothesis_output_revalidates(a):
     c = algebra.symdiff(a, b)
     Element(c.order_size, c.endpoints)
     assert c == algebra.full(a.order_size)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_hypothesis_restrict_matches_oracle(data):
+    a = data.draw(elements())
+    assume(a.order_size > 0)
+    cuts = [NEG_INF, *range(a.order_size), POS_INF]
+    window = st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True)
+    lo, hi = sorted(data.draw(window))
+    assert oracle_points(algebra.restrict(a, lo, hi)) == oracle_restrict(a, lo, hi)

@@ -413,6 +413,7 @@ class TestRobustness:
               "--max-intervals", "2"], "InputError"),
             (["gen", "homog", "--seed", "0", "--kappa", "0", "--orders", "",
               "--count", "-2", "--sigma-size", "4"], "InputError"),
+            (["eval", "--term=" + "*".join(["x0"] * 1200)], "ParseError"),
         ],
     )
     def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):

@@ -10,7 +10,6 @@ from intalg.errors import CapacityError, InputError
 from intalg.homogeneity import (
     check_homogeneous,
     check_semi_homogeneous,
-    exhaustive_max_homogeneous,
     extract_semi_homogeneous,
     find_partitioning_set,
     gen_homogeneous,
@@ -19,6 +18,7 @@ from intalg.homogeneity import (
 from intalg.product import Family
 
 from .conftest import random_element
+from .homogeneity_oracle import exhaustive_max_homogeneous
 from .pointset_oracle import oracle_points
 
 

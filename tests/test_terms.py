@@ -1,7 +1,10 @@
 """Parser, renderer, evaluator and the free-algebra (minterm) semantics."""
 
+import contextlib
 import itertools
 import random
+import sys
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +83,30 @@ class TestParse:
         terms.minterms(t, 2)
         with pytest.raises(terms.ParseError, match="nested deeper"):
             terms.parse("(" + text + ")")
+
+    @pytest.mark.parametrize("op", ["*", "^", "+"])
+    def test_operator_chain_height_bound(self, op):
+        # 201 operands: a left-deep tree exactly MAX_TERM_DEPTH operators high
+        text = op.join(["x0"] * (terms.MAX_TERM_DEPTH + 1))
+        with recursion_headroom(terms.MAX_TERM_DEPTH + 50):
+            t = terms.parse(text)
+            assert terms.render(t) == text
+            terms.evaluate(t, [algebra.full(3)])
+            assert terms.num_vars(t) == 1
+            terms.minterms(t, 1)
+        with pytest.raises(terms.ParseError, match="operators high"):
+            terms.parse(text + op + "x0")
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to `frames` above the current stack depth."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestRender:
