@@ -2,7 +2,9 @@
 and seeded generators, all emitting reproducible JSON artifacts.
 
 Exit codes: 0 success or witness found, 1 search exhausted without a
-witness, 2 malformed input or capacity overflow.
+witness, 2 malformed input (a command line argparse rejects included) or
+capacity overflow, 3 any other failure; 2 and 3 print a JSON error record
+on stderr and no traceback.  `--term -x0` reads as `--term=-x0`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 
 from . import algebra, homogeneity, product, search, terms, triples
 from .errors import CapacityError, InputError
@@ -20,6 +21,15 @@ from .errors import CapacityError, InputError
 EXIT_OK = 0
 EXIT_NO_WITNESS = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError where argparse would print usage and exit 2, so a
+    rejected command line gets the JSON error record too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _dump(obj) -> str:
@@ -27,8 +37,11 @@ def _dump(obj) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Replace `path` via a temporary file in its directory, so it holds the
+    old text or the new, never a part; mode 0o666 less the umask, as open()."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".intalg-")
+    tmp = os.path.join(directory, f".intalg-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -41,9 +54,8 @@ def write_atomic(path: str, text: str) -> None:
 
 def _emit(args, obj) -> None:
     text = _dump(obj)
-    out = getattr(args, "out", None)
-    if out:
-        write_atomic(out, text)
+    if args.out:
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -76,6 +88,8 @@ def gen_random_family(
         raise InputError("order_sizes length must equal kappa")
     if N < 0:
         raise InputError(f"negative member count {N}")
+    if max_intervals < 0:
+        raise InputError(f"negative interval count {max_intervals}")
     if order_sizes and max_intervals * 2 + 2 > min(order_sizes):
         raise CapacityError(
             f"{max_intervals} intervals need order size >= {max_intervals * 2 + 2}"
@@ -181,17 +195,16 @@ def _cmd_lemma16_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     fam = _load_family(args.family)
+    report = {"found": False}
     if args.pattern == "quadruple":
         cert = search.find_quadruple(fam)
     else:
         mode = "short" if args.pattern == "sextuple" else "symmetric"
         result = search.pipeline(fam, mode)
         cert = result.certificate
-        if cert is None:
-            _emit(args, {"found": False, "provenance": result.log})
-            return EXIT_NO_WITNESS
+        report["provenance"] = result.log
     if cert is None:
-        _emit(args, {"found": False})
+        _emit(args, report)
         return EXIT_NO_WITNESS
     _emit(args, cert.to_dict())
     return EXIT_OK
@@ -203,14 +216,8 @@ def _cmd_ramsey_quad(args) -> int:
     if args.n < 0:
         raise InputError(f"--n must be non-negative, got {args.n}")
     rng = random.Random(args.seed)
-    pair_colors = {}
-
-    def colors(i, j):
-        if (i, j) not in pair_colors:
-            pair_colors[(i, j)] = rng.randrange(args.colors)
-        return pair_colors[(i, j)]
-
-    quad = search.ramsey_quad(args.n, colors)
+    # ramsey_quad asks for each pair once, in lexicographic order: no memo
+    quad = search.ramsey_quad(args.n, lambda i, j: rng.randrange(args.colors))
     report = {
         "seed": args.seed,
         "colors": args.colors,
@@ -223,10 +230,23 @@ def _cmd_ramsey_quad(args) -> int:
     return EXIT_OK if quad is not None else EXIT_NO_WITNESS
 
 
-def _cmd_gen_homog(args) -> int:
+def _orders(args) -> list:
+    """--orders as a list; one size stands for every coordinate."""
     order_sizes = _parse_int_list(args.orders)
     if len(order_sizes) == 1 and args.kappa > 1:
         order_sizes = order_sizes * args.kappa
+    return order_sizes
+
+
+def _emit_family(args, fam: product.Family) -> int:
+    payload = fam.to_dict()
+    payload["seed"] = args.seed
+    _emit(args, payload)
+    return EXIT_OK
+
+
+def _cmd_gen_homog(args) -> int:
+    order_sizes = _orders(args)
     if len(order_sizes) != args.kappa:
         raise InputError("--orders must list one size, or one per coordinate")
     gap_pool = None if args.gap_pool is None else _parse_int_list(args.gap_pool)
@@ -241,122 +261,98 @@ def _cmd_gen_homog(args) -> int:
         for zeta in range(args.kappa)
     ]
     fam = product.Family.from_columns(order_sizes, columns, args.count)
-    payload = fam.to_dict()
-    payload["seed"] = args.seed
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit_family(args, fam)
 
 
 def _cmd_gen_random(args) -> int:
-    order_sizes = _parse_int_list(args.orders)
-    if len(order_sizes) == 1 and args.kappa > 1:
-        order_sizes = order_sizes * args.kappa
     fam = gen_random_family(
-        args.seed, args.kappa, order_sizes, args.count, args.max_intervals
+        args.seed, args.kappa, _orders(args), args.count, args.max_intervals
     )
-    payload = fam.to_dict()
-    payload["seed"] = args.seed
-    _emit(args, payload)
-    return EXIT_OK
+    return _emit_family(args, fam)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    out = _Parser(add_help=False)
+    out.add_argument("--out")
+    family = _Parser(add_help=False)
+    family.add_argument("--family", required=True)
+    gen = _Parser(add_help=False)
+    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--kappa", type=int, default=1)
+    gen.add_argument("--orders", required=True)
+    gen.add_argument("--count", type=int, required=True)
+
+    def leaf(group, name, func, *parents, **kwargs):
+        p = group.add_parser(name, parents=[*parents, out], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    parser = _Parser(
         prog="intalg",
         description="Interval Boolean algebra arithmetic, homogeneity "
         "analysis and certificate searches.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("canon", help="canonicalize a point set")
+    p = leaf(sub, "canon", _cmd_canon, help="canonicalize a point set")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--points", default="")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("eval", help="evaluate a term on family members")
+    p = leaf(sub, "eval", _cmd_eval, family, help="evaluate a term on family members")
     p.add_argument("--term", required=True)
-    p.add_argument("--family", required=True)
     p.add_argument("--assign", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("independent", help="test member independence")
-    p.add_argument("--family", required=True)
+    p = leaf(
+        sub, "independent", _cmd_independent, family, help="test member independence"
+    )
     p.add_argument("--indices", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_independent)
 
     p = sub.add_parser("homog", help="homogeneity analysis")
     hsub = p.add_subparsers(dest="homog_command", required=True)
-    hp = hsub.add_parser("check")
-    hp.add_argument("--family", required=True)
-    hp.add_argument("--out")
-    hp.set_defaults(func=_cmd_homog_check)
-    hp = hsub.add_parser("extract")
-    hp.add_argument("--family", required=True)
-    hp.add_argument("--parts-out")
-    hp.add_argument("--out")
-    hp.set_defaults(func=_cmd_homog_extract)
+    leaf(hsub, "check", _cmd_homog_check, family)
+    p = leaf(hsub, "extract", _cmd_homog_extract, family)
+    p.add_argument("--parts-out")
 
     p = sub.add_parser("lemma16", help="exhaustive triple verification")
     lsub = p.add_subparsers(dest="lemma16_command", required=True)
-    lp = lsub.add_parser("verify")
-    lp.add_argument("--max-order", type=int, required=True)
-    lp.add_argument("--max-k", type=int, required=True)
-    lp.add_argument("--out")
-    lp.set_defaults(func=_cmd_lemma16_verify)
+    p = leaf(lsub, "verify", _cmd_lemma16_verify)
+    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-k", type=int, required=True)
 
-    p = sub.add_parser("search", help="certificate searches")
-    p.add_argument(
-        "pattern", choices=["sextuple", "sextuple-sym", "quadruple"]
-    )
-    p.add_argument("--family", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_search)
+    p = leaf(sub, "search", _cmd_search, family, help="certificate searches")
+    p.add_argument("pattern", choices=["sextuple", "sextuple-sym", "quadruple"])
 
     p = sub.add_parser("ramsey", help="cross-equal quadruple search")
     rsub = p.add_subparsers(dest="ramsey_command", required=True)
-    rp = rsub.add_parser("quad")
-    rp.add_argument("--colors", type=int, required=True)
-    rp.add_argument("--n", type=int, required=True)
-    rp.add_argument("--seed", type=int, required=True)
-    rp.add_argument("--out")
-    rp.set_defaults(func=_cmd_ramsey_quad)
+    p = leaf(rsub, "quad", _cmd_ramsey_quad)
+    p.add_argument("--colors", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("gen", help="seeded generators")
     gsub = p.add_subparsers(dest="gen_command", required=True)
-    gp = gsub.add_parser("homog")
-    gp.add_argument("--seed", type=int, required=True)
-    gp.add_argument("--kappa", type=int, default=1)
-    gp.add_argument("--orders", required=True)
-    gp.add_argument("--count", type=int, required=True)
-    gp.add_argument("--sigma-size", type=int, required=True)
-    gp.add_argument("--gap-pool")
-    gp.add_argument("--out")
-    gp.set_defaults(func=_cmd_gen_homog)
-    gp = gsub.add_parser("random")
-    gp.add_argument("--seed", type=int, required=True)
-    gp.add_argument("--kappa", type=int, default=1)
-    gp.add_argument("--orders", required=True)
-    gp.add_argument("--count", type=int, required=True)
-    gp.add_argument("--max-intervals", type=int, required=True)
-    gp.add_argument("--out")
-    gp.set_defaults(func=_cmd_gen_random)
+    p = leaf(gsub, "homog", _cmd_gen_homog, gen)
+    p.add_argument("--sigma-size", type=int, required=True)
+    p.add_argument("--gap-pool")
+    p = leaf(gsub, "random", _cmd_gen_random, gen)
+    p.add_argument("--max-intervals", type=int, required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--term" in argv[:-1]:  # argparse would take a term "-x0" for an option
+        i = argv.index("--term")
+        argv[i : i + 2] = ["--term=" + argv[i + 1]]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, CapacityError) as exc:
-        sys.stderr.write(
-            _dump({"error": type(exc).__name__, "message": str(exc)})
-        )
-        return EXIT_INPUT_ERROR
+    except Exception as exc:  # a crash must never read as exit 1, "exhausted"
+        sys.stderr.write(_dump({"error": type(exc).__name__, "message": str(exc)}))
+        if isinstance(exc, (InputError, CapacityError)):
+            return EXIT_INPUT_ERROR
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -177,14 +177,16 @@ class _Parser:
         if c == "x":
             self.take()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            # ASCII digits only: str.isdigit also takes '²', which int() rejects
+            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("expected variable index after 'x'", self.pos)
-            index = int(self.text[start : self.pos])
-            if index > MAX_VAR_INDEX:
-                raise ParseError(f"variable index {index} too large", start)
-            return Var(index), 0
+            # int() refuses strings of more than 4300 digits; compare lengths first
+            digits = self.text[start : self.pos].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_VAR_INDEX)) or int(digits) > MAX_VAR_INDEX:
+                raise ParseError(f"variable index {digits} too large", start)
+            return Var(int(digits)), 0
         raise ParseError(f"unexpected {c!r}", self.pos)
 
 

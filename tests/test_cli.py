@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from intalg import algebra, cli, homogeneity, product
-from intalg.cli import EXIT_INPUT_ERROR, EXIT_NO_WITNESS, EXIT_OK, main
+from intalg.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
+    EXIT_NO_WITNESS,
+    EXIT_OK,
+    main,
+)
 from intalg.errors import CapacityError
 from intalg.product import Family
 from intalg.terms import MAX_TERM_DEPTH
@@ -414,15 +420,56 @@ class TestRobustness:
             (["gen", "homog", "--seed", "0", "--kappa", "0", "--orders", "",
               "--count", "-2", "--sigma-size", "4"], "InputError"),
             (["eval", "--term=" + "*".join(["x0"] * 1200)], "ParseError"),
+            (["eval", "--term"], "InputError"),
+            (["canon", "--order", "abc"], "InputError"),
+            (["homog", "check"], "InputError"),
+            (["search", "bogus", "--family", "family.json"], "InputError"),
+            (["canon", "--order", "5", "--bogus"], "InputError"),
+            ([], "InputError"),
+            (["gen", "random", "--seed", "0", "--orders", "8", "--count", "3",
+              "--max-intervals", "-1"], "InputError"),
         ],
     )
     def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):
-        if argv[0] == "eval":
+        if argv[:1] == ["eval"]:
             path, _ = nested_family_file(tmp_path)
-            argv = argv + ["--family", str(path), "--assign", "0"]
+            argv = ["eval", "--family", str(path), "--assign", "0", *argv[1:]]
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("term", ["-x0", "-(x0+x1)^x2"])
+    def test_term_with_leading_minus(self, capsys, tmp_path, term):
+        path, _ = nested_family_file(tmp_path)
+        argv = ["--family", str(path), "--assign", "0,1,2"]
+        spaced = run(capsys, "eval", "--term", term, *argv)
+        joined = run(capsys, "eval", "--term=" + term, *argv)
+        assert spaced == joined and spaced[0] == EXIT_OK
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0 and "--family" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["search", "bogus", "--family", "family.json"], EXIT_INPUT_ERROR),
+            (["canon", "--order", "5", "--out", "missing/c.json"], EXIT_INTERNAL_ERROR),
+        ],
+    )
+    def test_process_prints_record_not_traceback(self, tmp_path, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intalg.cli", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert set(json.loads(proc.stderr)) == {"error", "message"}
 
     @pytest.mark.parametrize(
         "term",
@@ -478,3 +525,13 @@ class TestAtomicWrite:
         target.write_text("old")
         cli.write_atomic(str(target), "new\n")
         assert target.read_text() == "new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        target = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            cli.write_atomic(str(target), "x\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask

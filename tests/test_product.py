@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intalg import algebra, product, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
@@ -26,6 +28,48 @@ def random_family(rng, kappa, order_sizes, n):
             tuple(random_element(rng, p) for p in order_sizes) for _ in range(n)
         ),
     )
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=12)
+    | st.floats()
+    | st.sampled_from(["-inf", "+inf", "5"])
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kappa", "elements", ""]), inner),
+    max_leaves=8,
+)
+_endpoints = st.lists(_json_leaf) | st.builds(
+    lambda lo, interior, hi: lo + sorted(interior) + hi,
+    st.sampled_from([[], ["-inf"]]),
+    st.sets(st.integers(min_value=-1, max_value=9)),
+    st.sampled_from([[], ["+inf"]]),
+)
+
+
+def _family_shaped(kappa):
+    sizes = st.integers(min_value=-1, max_value=9)
+    member = st.lists(_endpoints, min_size=kappa, max_size=kappa) | _json_value
+    return st.fixed_dictionaries(
+        {
+            "kappa": st.just(kappa),
+            "order_sizes": st.lists(sizes, min_size=kappa, max_size=kappa),
+            "elements": st.lists(member, max_size=3),
+        }
+    )
+
+
+_family_keys = dict.fromkeys(["kappa", "order_sizes", "elements"], _json_value)
+# JSON documents: any, with the family's keys, or shaped like a family
+family_documents = (
+    _json_value
+    | st.fixed_dictionaries(_family_keys)
+    | st.integers(min_value=0, max_value=3).flatmap(_family_shaped)
+)
 
 
 class TestFamily:
@@ -52,6 +96,17 @@ class TestFamily:
     def test_malformed(self):
         with pytest.raises(InputError):
             Family.from_dict({"kappa": 1})
+
+    @given(family_documents)
+    @settings(max_examples=200)
+    def test_hypothesis_from_dict_accepts_or_rejects_cleanly(self, doc):
+        # any JSON document either loads or raises the errors the CLI
+        # reports as exit 2
+        try:
+            fam = Family.from_dict(doc)
+        except (InputError, CapacityError):
+            return
+        assert Family.from_dict(fam.to_dict()) == fam
 
     def test_from_columns(self):
         a, b = algebra.empty(3), algebra.full(3)

@@ -58,7 +58,10 @@ class TestParse:
     def test_whitespace_ignored(self):
         assert terms.parse(" x1 * - x2 ") == Meet(Var(1), Compl(Var(2)))
 
-    @pytest.mark.parametrize("bad", ["", "x", "x0*", "(x0", "x0)", "y0", "x0 x1"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "x", "x0*", "(x0", "x0)", "y0", "x0 x1", "x\u00b2", "x" + "1" * 5000],
+    )
     def test_syntax_errors_with_position(self, bad):
         with pytest.raises(terms.ParseError) as exc:
             terms.parse(bad)
@@ -268,3 +271,21 @@ def test_hypothesis_minterms_match_two_element_evaluation(seed, extra):
         value = terms.evaluate(t, assignment, order_size=1)
         assert value.is_full() == (vector in signs)
         assert value.is_full() or value.is_empty()
+
+
+@given(
+    st.text(
+        st.sampled_from("x0129-*^+() ")
+        | st.characters(categories=("Nd", "No"))  # digits int() may refuse
+        | st.characters(),
+        max_size=40,
+    )
+)
+@settings(max_examples=300)
+def test_hypothesis_parse_accepts_or_rejects_cleanly(text):
+    # any input either parses or raises the errors the CLI reports as exit 2
+    try:
+        t = terms.parse(text)
+    except (InputError, CapacityError):
+        return
+    assert terms.parse(terms.render(t)) == t
