@@ -4,7 +4,8 @@ and seeded generators, all emitting reproducible JSON artifacts.
 Exit codes: 0 success or witness found, 1 search exhausted without a
 witness, 2 malformed input (a command line argparse rejects included) or
 capacity overflow, 3 any other failure; 2 and 3 print a JSON error record
-on stderr and no traceback.  `--term -x0` reads as `--term=-x0`.
+on stderr and no traceback.  A value that starts with a single '-' is read
+as the value of the option before it: `--term -x0` is `--term=-x0`.
 """
 
 from __future__ import annotations
@@ -38,18 +39,21 @@ def _dump(obj) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Replace `path` via a temporary file in its directory, so it holds the
-    old text or the new, never a part; mode 0o666 less the umask, as open()."""
+    old text or the new, never a part; mode 0o666 less the umask, as open().
+    A bad path is an InputError that names it; a full disk stays an OSError."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".intalg-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # strerror: the message must not name tmp
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args, obj) -> None:
@@ -342,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "--term" in argv[:-1]:  # argparse would take a term "-x0" for an option
-        i = argv.index("--term")
-        argv[i : i + 2] = ["--term=" + argv[i + 1]]
+    # argparse takes a value that starts with one '-' ("-x0") for an option:
+    # join it to a long option before it, except --help, its prefixes and "--"
+    for i in range(len(argv) - 2, -1, -1):
+        option, value = argv[i : i + 2]
+        takes_value = option[:2] == "--" and "=" not in option
+        if takes_value and not "--help".startswith(option):
+            if value[:1] == "-" and value[:2] != "--" and value != "-h":
+                argv[i : i + 2] = [f"{option}={value}"]
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -1,12 +1,10 @@
 """Boolean term syntax, parsing and evaluation.
 
-Grammar (precedence: unary '-' > '*' > '^' > '+'):
+Grammar (precedence: unary '-' > '*' > '^' > '+', as in _INFIX):
 
-    term   := xor ( '+' xor )*
-    xor    := factor ( '^' factor )*
-    factor := atom ( '*' atom )*
-    atom   := '-' atom | '(' term ')' | var | '0' | '1'
-    var    := 'x' digit+
+    term := atom ( infix atom )*    left-associative, grouped by precedence
+    atom := '-' atom | '(' term ')' | var | '0' | '1'
+    var  := 'x' digit+
 
 Nontriviality is decided by truth-table enumeration in the two-element
 algebra: a term is nonzero in some algebra under some assignment exactly
@@ -15,6 +13,7 @@ when some sign vector satisfies it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import algebra
@@ -24,10 +23,10 @@ from .errors import CapacityError, InputError
 MAX_TRUTH_TABLE_VARS = 20
 MAX_VAR_INDEX = 10**6
 # Bounds both the open '(' plus stacked '-' at any point of a term and the
-# height of its tree in operators.  The parser spends four stack frames per
-# '(' and render, evaluate, num_vars and minterms one per operator level, so
-# a term at this depth needs about 800 frames: inside Python's default
-# recursion limit of 1000, with room for the callers.
+# height of its tree in operators.  The parser spends two stack frames per
+# '(' and one per '-', and render, evaluate, num_vars and minterms one per
+# operator level, so a term at this depth needs about 400 frames: well
+# inside Python's default recursion limit of 1000, with room for callers.
 MAX_TERM_DEPTH = 200
 
 
@@ -77,6 +76,11 @@ class Compl(Term):
 ZERO = Zero()
 ONE = One()
 
+# The binary operators: symbol -> (node class, precedence).
+_INFIX = {"+": (Join, 1), "^": (SymDiff, 2), "*": (Meet, 3)}
+# the same table by node class, for render and num_vars
+_PRECEDENCE = {cls: (symbol, prec) for symbol, (cls, prec) in _INFIX.items()}
+
 
 @dataclass(frozen=True)
 class MintermSet:
@@ -98,26 +102,12 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def _skip_ws(self):
+    def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else None
 
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def parse(self) -> Term:
-        t, _ = self.term()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected {self.peek()!r}", self.pos)
-        return t
-
-    # term, xor, factor and atom return (node, height in operators)
+    # term and atom return (node, height in operators)
 
     def node(self, cls, *parts) -> tuple:
         height = 1 + max(h for _, h in parts)
@@ -128,25 +118,22 @@ class _Parser:
         return cls(*(t for t, _ in parts)), height
 
     def term(self) -> tuple:
-        t = self.xor()
-        while self.peek() == "+":
-            self.take()
-            t = self.node(Join, t, self.xor())
-        return t
-
-    def xor(self) -> tuple:
-        t = self.factor()
-        while self.peek() == "^":
-            self.take()
-            t = self.node(SymDiff, t, self.factor())
-        return t
-
-    def factor(self) -> tuple:
-        t = self.atom()
-        while self.peek() == "*":
-            self.take()
-            t = self.node(Meet, t, self.atom())
-        return t
+        """Atoms joined by infix operators, left-associative; an operator waits
+        on a list while tighter ones follow, so only '(' and '-' recurse."""
+        operands, ops = [self.atom()], []
+        while True:
+            cls, prec = _INFIX.get(self.peek(), (None, 0))
+            while ops and ops[-1][1] >= prec:
+                right = operands.pop()
+                operands.append(self.node(ops.pop()[0], operands.pop(), right))
+            if cls is None:
+                return operands[0]
+            self.pos += 1
+            if prec < max(p for _, p in _INFIX.values()):
+                ops.append((cls, prec))
+                operands.append(self.atom())
+            else:  # nothing binds tighter: build it before a peek skips spaces
+                operands.append(self.node(cls, operands.pop(), self.atom()))
 
     def atom(self) -> tuple:
         c = self.peek()
@@ -158,24 +145,21 @@ class _Parser:
                     f"term nested deeper than {MAX_TERM_DEPTH}", self.pos
                 )
             self.depth += 1
-            self.take()
+            self.pos += 1
             if c == "-":
                 t = self.node(Compl, self.atom())
             else:
                 t = self.term()
                 if self.peek() != ")":
                     raise ParseError("expected ')'", self.pos)
-                self.take()
+                self.pos += 1
             self.depth -= 1
             return t
-        if c == "0":
-            self.take()
-            return ZERO, 0
-        if c == "1":
-            self.take()
-            return ONE, 0
+        if c in "01":
+            self.pos += 1
+            return (ONE if c == "1" else ZERO), 0
         if c == "x":
-            self.take()
+            self.pos += 1
             start = self.pos
             # ASCII digits only: str.isdigit also takes '²', which int() rejects
             while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
@@ -191,48 +175,69 @@ class _Parser:
 
 
 def parse(text: str) -> Term:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    t, _ = parser.term()
+    if parser.peek() is not None:
+        raise ParseError(f"unexpected {parser.peek()!r}", parser.pos)
+    return t
 
 
-_PRECEDENCE = {Join: 1, SymDiff: 2, Meet: 3, Compl: 4}
-_INFIX = {Join: "+", SymDiff: "^", Meet: "*"}
-
-
-def _prec(t: Term) -> int:
-    return _PRECEDENCE.get(type(t), 5)
+def _fold(t: Term, var, const, compl, binary: dict):
+    """The value of t, bottom-up: var(index) at a Var, const(False) at Zero,
+    const(True) at One, compl(value) at a Compl and binary[type(t)](left,
+    right) at a Meet, Join or SymDiff.  Other nodes raise InputError.  (As
+    folds, render and num_vars measured slower than their own walks.)"""
+    kind = type(t)
+    if kind is Var:
+        return var(t.index)
+    op = binary.get(kind)
+    if op is not None:
+        return op(
+            _fold(t.left, var, const, compl, binary),
+            _fold(t.right, var, const, compl, binary),
+        )
+    if kind is Compl:
+        return compl(_fold(t.arg, var, const, compl, binary))
+    if kind is Zero or kind is One:
+        return const(kind is One)
+    raise InputError(f"unknown term node {t!r}")
 
 
 def render(t: Term) -> str:
     """Emit t with minimal parentheses; parse(render(t)) == t."""
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         return f"x{t.index}"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Compl):
+    if kind is Zero or kind is One:
+        return "1" if kind is One else "0"
+    if kind is Compl:
         inner = render(t.arg)
-        if _prec(t.arg) < _prec(t):
-            inner = f"({inner})"
-        return f"-{inner}"
-    p = _prec(t)
-    left = render(t.left)
-    if _prec(t.left) < p:
+        return f"-({inner})" if type(t.arg) in _PRECEDENCE else f"-{inner}"
+    if kind not in _PRECEDENCE:
+        raise InputError(f"unknown term node {t!r}")
+    symbol, prec = _PRECEDENCE[kind]
+    left, right = render(t.left), render(t.right)
+    # parenthesise a looser operand, and a right one as loose (left
+    # association); '-' and atoms bind tighter than any infix
+    if _PRECEDENCE.get(type(t.left), ("", prec + 1))[1] < prec:
         left = f"({left})"
-    right = render(t.right)
-    if _prec(t.right) <= p:
+    if _PRECEDENCE.get(type(t.right), ("", prec + 1))[1] <= prec:
         right = f"({right})"
-    return f"{left}{_INFIX[type(t)]}{right}"
+    return f"{left}{symbol}{right}"
 
 
 def num_vars(t: Term) -> int:
-    if isinstance(t, Var):
+    """One more than the largest variable index in t; 0 without variables."""
+    kind = type(t)
+    if kind is Var:
         return t.index + 1
-    if isinstance(t, Compl):
-        return num_vars(t.arg)
-    if isinstance(t, (Meet, Join, SymDiff)):
+    if kind in _PRECEDENCE:
         return max(num_vars(t.left), num_vars(t.right))
-    return 0
+    if kind is Compl:
+        return num_vars(t.arg)
+    if kind is Zero or kind is One:
+        return 0
+    raise InputError(f"unknown term node {t!r}")
 
 
 def evaluate(t: Term, assignment, order_size: int | None = None) -> Element:
@@ -249,25 +254,15 @@ def evaluate(t: Term, assignment, order_size: int | None = None) -> Element:
         raise InputError(
             f"term uses {num_vars(t)} variables, got {len(assignment)}"
         )
-
-    def go(node: Term) -> Element:
-        if isinstance(node, Var):
-            return assignment[node.index]
-        if isinstance(node, Zero):
-            return algebra.empty(order_size)
-        if isinstance(node, One):
-            return algebra.full(order_size)
-        if isinstance(node, Compl):
-            return algebra.complement(go(node.arg))
-        if isinstance(node, Meet):
-            return algebra.meet(go(node.left), go(node.right))
-        if isinstance(node, Join):
-            return algebra.join(go(node.left), go(node.right))
-        if isinstance(node, SymDiff):
-            return algebra.symdiff(go(node.left), go(node.right))
-        raise InputError(f"unknown term node {node!r}")
-
-    return go(t)
+    # the element operations are looked up per call, so that a rebinding of
+    # algebra.meet and the rest (perfbench's tracer does it) takes effect
+    return _fold(
+        t,
+        assignment.__getitem__,
+        lambda bit: (algebra.full if bit else algebra.empty)(order_size),
+        algebra.complement,
+        {Meet: algebra.meet, Join: algebra.join, SymDiff: algebra.symdiff},
+    )
 
 
 def minterms(t: Term, n: int) -> MintermSet:
@@ -279,26 +274,19 @@ def minterms(t: Term, n: int) -> MintermSet:
     # Truth table as an int: bit r is row r, in which x_i is bit n-1-i of r.
     ones = (1 << (1 << n)) - 1
 
-    def go(node: Term) -> int:
-        if isinstance(node, Var):
-            # blocks of 2^k zeros then 2^k ones, repeated, for k = n-1-i
-            k = n - 1 - node.index
-            return ones // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
-        if isinstance(node, Zero):
-            return 0
-        if isinstance(node, One):
-            return ones
-        if isinstance(node, Compl):
-            return ones ^ go(node.arg)
-        if isinstance(node, Meet):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Join):
-            return go(node.left) | go(node.right)
-        if isinstance(node, SymDiff):
-            return go(node.left) ^ go(node.right)
-        raise InputError(f"unknown term node {node!r}")
+    def var(index: int) -> int:
+        # blocks of 2^k zeros then 2^k ones, repeated, for k = n-1-index
+        k = n - 1 - index
+        return ones // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
 
-    bits = bin(go(t))[:1:-1]  # bits[r] is row r
+    table = _fold(
+        t,
+        var,
+        lambda bit: ones if bit else 0,
+        lambda value: ones ^ value,
+        {Meet: operator.and_, Join: operator.or_, SymDiff: operator.xor},
+    )
+    bits = bin(table)[:1:-1]  # bits[r] is row r
     signs = frozenset(
         tuple(r >> (n - 1 - i) & 1 for i in range(n))
         for r, bit in enumerate(bits)

@@ -94,6 +94,8 @@ def _all_elements(p: int):
 def verify_triples(max_p: int, max_k: int) -> SweepReport:
     """Exhaustively classify every homogeneous triple over orders of size
     at most max_p with common sigma size at most max_k."""
+    if max_p < 0 or max_k < 0:
+        raise InputError(f"negative bound: max_p={max_p}, max_k={max_k}")
     if max_p > MAX_SWEEP_ORDER:
         raise CapacityError(f"order cap is {MAX_SWEEP_ORDER}, got {max_p}")
     if max_k > MAX_SWEEP_SIGMA:

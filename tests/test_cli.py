@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
 
+import argparse
+import errno
 import itertools
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 
@@ -17,7 +21,7 @@ from intalg.cli import (
     EXIT_OK,
     main,
 )
-from intalg.errors import CapacityError
+from intalg.errors import CapacityError, InputError
 from intalg.product import Family
 from intalg.terms import MAX_TERM_DEPTH
 
@@ -428,6 +432,8 @@ class TestRobustness:
             ([], "InputError"),
             (["gen", "random", "--seed", "0", "--orders", "8", "--count", "3",
               "--max-intervals", "-1"], "InputError"),
+            (["lemma16", "verify", "--max-order", "-1", "--max-k", "2"], "InputError"),
+            (["lemma16", "verify", "--max-order", "3", "--max-k", "-2"], "InputError"),
         ],
     )
     def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):
@@ -446,6 +452,64 @@ class TestRobustness:
         joined = run(capsys, "eval", "--term=" + term, *argv)
         assert spaced == joined and spaced[0] == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["independent", "--indices", "-1,0"], "member index -1 out of range"),
+            (["canon", "--order", "5", "--points", "-1,2"], "[-1, 2]"),
+            (["gen", "homog", "--seed", "0", "--kappa", "2", "--orders", "-5,3",
+              "--count", "2", "--sigma-size", "2"], "negative order size -5"),
+        ],
+    )
+    def test_value_with_leading_minus_reaches_command(
+        self, capsys, tmp_path, argv, message
+    ):
+        if argv[0] == "independent":
+            path, _ = nested_family_file(tmp_path)
+            argv = [*argv, "--family", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert message in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--parts-out"])
+    @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+    def test_unwritable_path_is_named_and_leaves_no_temp(
+        self, capsys, tmp_path, monkeypatch, flag, target
+    ):
+        path, _ = nested_family_file(tmp_path)
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = ["homog", "extract", "--family", str(path), flag, target]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == EXIT_INPUT_ERROR
+        assert json.loads(first[2])["message"].startswith(f"cannot write {target}:")
+        leftovers = [p.name for p in tmp_path.rglob(".intalg-*")]
+        assert leftovers == []
+
+    def test_crash_exits_3_with_record(self, capsys, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.algebra, "from_point_set", crash)
+        code, out, err = run(capsys, "canon", "--order", "5")
+        assert code == EXIT_INTERNAL_ERROR and out == ""
+        assert json.loads(err) == {"error": "RuntimeError", "message": "boom"}
+
+    def test_every_long_option_but_help_takes_one_value(self):
+        # main joins a value that starts with '-' to the option before it,
+        # which is only right while no option is a flag
+        parsers, options = [cli.build_parser()], []
+        while parsers:
+            for action in parsers.pop()._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif action.option_strings != ["-h", "--help"]:
+                    options.append(action)
+        assert options
+        for action in options:
+            assert action.nargs is None, action.option_strings
+            assert all(o.startswith("--") for o in action.option_strings)
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--help"])
@@ -455,7 +519,7 @@ class TestRobustness:
         "argv, code",
         [
             (["search", "bogus", "--family", "family.json"], EXIT_INPUT_ERROR),
-            (["canon", "--order", "5", "--out", "missing/c.json"], EXIT_INTERNAL_ERROR),
+            (["canon", "--order", "5", "--out", "missing/c.json"], EXIT_INPUT_ERROR),
         ],
     )
     def test_process_prints_record_not_traceback(self, tmp_path, argv, code):
@@ -505,6 +569,26 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def readme_cli_commands():
+    """The commands of the README's CLI block, as argv lists without `intalg`."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("intalg ")]
+
+
+def test_readme_cli_commands_run(capsys, tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_NO_WITNESS), (argv, err)
+        assert "Traceback" not in err
+
+
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = "import sys, intalg.cli; sys.exit('numpy' in sys.modules)"
@@ -525,6 +609,17 @@ class TestAtomicWrite:
         target.write_text("old")
         cli.write_atomic(str(target), "new\n")
         assert target.read_text() == "new\n"
+
+    def test_other_os_errors_pass_on(self, tmp_path, monkeypatch):
+        # a full disk is no fault of the path: it stays an OSError (exit 3)
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", full)
+        with pytest.raises(OSError) as exc:
+            cli.write_atomic(str(tmp_path / "out.json"), "x\n")
+        assert not isinstance(exc.value, InputError)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_mode_follows_umask(self, tmp_path, umask):

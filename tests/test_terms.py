@@ -97,8 +97,32 @@ class TestParse:
             terms.evaluate(t, [algebra.full(3)])
             assert terms.num_vars(t) == 1
             terms.minterms(t, 1)
-        with pytest.raises(terms.ParseError, match="operators high"):
-            terms.parse(text + op + "x0")
+        with pytest.raises(terms.ParseError, match="operators high") as exc:
+            terms.parse(text + op + "x0 ")
+        # '*' is built as soon as its operand ends; '^' and '+' only once
+        # the next token, past the space, shows nothing tighter follows
+        assert exc.value.position == len(text) + (3 if op == "*" else 4)
+
+    def test_nested_parentheses_frame_budget(self):
+        # two frames per '(': 200 of them fit in 2 * MAX_TERM_DEPTH + 50
+        text = "(" * terms.MAX_TERM_DEPTH + "x0" + ")" * terms.MAX_TERM_DEPTH
+        with recursion_headroom(2 * terms.MAX_TERM_DEPTH + 50):
+            t = terms.parse(text)
+            assert terms.render(t) == "x0"
+            assert terms.evaluate(t, [algebra.full(3)]) == algebra.full(3)
+
+    def test_waiting_operators_cost_no_frames(self):
+        # operators waiting for their right operand sit on a list, not on
+        # the stack: a level costs two frames however many wait at its '('
+        depth = terms.MAX_TERM_DEPTH
+        with recursion_headroom(2 * depth + 50):
+            t = terms.parse("x1*(" * depth + "x0" + ")" * depth)
+            assert terms.render(t) == "x1*(" * (depth - 1) + "x1*x0" + ")" * (depth - 1)
+            text = "x1+x1^x1*(" * depth
+            with pytest.raises(terms.ParseError, match="end of input"):
+                terms.parse(text)
+            with pytest.raises(terms.ParseError, match="operators high"):
+                terms.parse(text + "x0" + ")" * depth)
 
 
 @contextlib.contextmanager
@@ -150,6 +174,28 @@ def test_parser_round_trip_500_random_terms():
     for _ in range(500):
         t = random_term(rng)
         assert terms.parse(terms.render(t)) == t
+
+
+class Foreign(terms.Term):
+    """A node type the term functions do not know."""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: terms.evaluate(t, [algebra.full(3)]),
+        lambda t: terms.minterms(t, 1),
+        terms.num_vars,
+        terms.render,
+    ],
+    ids=["evaluate", "minterms", "num_vars", "render"],
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda u: u, lambda u: Meet(Var(0), Compl(u))], ids=["root", "inner"]
+)
+def test_unknown_node_is_input_error(call, wrap):
+    with pytest.raises(InputError, match="unknown term node"):
+        call(wrap(Foreign()))
 
 
 class TestNumVars:

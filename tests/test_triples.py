@@ -94,6 +94,11 @@ class TestSweep:
         with pytest.raises(CapacityError):
             verify_triples(4, 7)
 
+    @pytest.mark.parametrize("max_p, max_k", [(-1, 2), (3, -2)])
+    def test_negative_bounds(self, max_p, max_k):
+        with pytest.raises(InputError, match="negative bound"):
+            verify_triples(max_p, max_k)
+
     def test_sweep_counts_match_direct_enumeration(self):
         """Recount the (p=4, k<=3) sweep with an independent nested loop."""
         import itertools
