@@ -1,7 +1,10 @@
 """Exact interval Boolean algebra arithmetic, homogeneity analysis and
-certificate-producing combinatorial searches."""
+certificate-producing combinatorial searches.
 
-from . import algebra, homogeneity, product, search, terms, triples
+Importing the package loads no submodule, so a caller imports the one it
+uses: `from intalg import search` or `import intalg.search`.
+"""
+
 from .errors import CapacityError, InputError
 
 __all__ = [

@@ -16,7 +16,9 @@ import os
 import random
 import sys
 
-from . import algebra, homogeneity, product, search, terms, triples
+# a _cmd_* imports at its top the intalg modules that only it runs, so that a
+# call loads no module it does not use
+from . import algebra, product
 from .errors import CapacityError, InputError
 
 EXIT_OK = 0
@@ -94,6 +96,9 @@ def gen_random_family(
         raise InputError(f"negative member count {N}")
     if max_intervals < 0:
         raise InputError(f"negative interval count {max_intervals}")
+    for p in order_sizes:
+        if p < 0:
+            raise InputError(f"negative order size {p}")
     if order_sizes and max_intervals * 2 + 2 > min(order_sizes):
         raise CapacityError(
             f"{max_intervals} intervals need order size >= {max_intervals * 2 + 2}"
@@ -118,6 +123,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import terms
+
     fam = _load_family(args.family)
     term = terms.parse(args.term)
     values = product.prod_eval(term, fam, _parse_int_list(args.assign))
@@ -146,6 +153,8 @@ def _cmd_independent(args) -> int:
 
 
 def _cmd_homog_check(args) -> int:
+    from . import homogeneity
+
     fam = _load_family(args.family)
     coordinates = []
     for zeta in range(fam.kappa):
@@ -173,6 +182,8 @@ def _cmd_homog_check(args) -> int:
 
 
 def _cmd_homog_extract(args) -> int:
+    from . import homogeneity
+
     fam = _load_family(args.family)
     result = homogeneity.extract_semi_homogeneous(fam)
     parts = [
@@ -192,12 +203,16 @@ def _cmd_homog_extract(args) -> int:
 
 
 def _cmd_lemma16_verify(args) -> int:
+    from . import triples
+
     report = triples.verify_triples(args.max_order, args.max_k)
     _emit(args, report.to_dict())
     return EXIT_OK if not report.counterexamples else EXIT_NO_WITNESS
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     fam = _load_family(args.family)
     report = {"found": False}
     if args.pattern == "quadruple":
@@ -215,6 +230,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ramsey_quad(args) -> int:
+    from . import search
+
     if args.colors < 1:
         raise InputError(f"--colors must be at least 1, got {args.colors}")
     if args.n < 0:
@@ -250,6 +267,8 @@ def _emit_family(args, fam: product.Family) -> int:
 
 
 def _cmd_gen_homog(args) -> int:
+    from . import homogeneity
+
     order_sizes = _orders(args)
     if len(order_sizes) != args.kappa:
         raise InputError("--orders must list one size, or one per coordinate")

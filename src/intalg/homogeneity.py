@@ -188,6 +188,8 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
         raise InputError(f"|sigma| is at least 2, got {k}")
     if N < 0:
         raise InputError(f"negative member count {N}")
+    if p < 0:
+        raise InputError(f"negative order size {p}")
     m = k - 2
     if m == 0:
         return [algebra.empty(p) for _ in range(N)]

@@ -25,6 +25,9 @@ from intalg.errors import CapacityError, InputError
 from intalg.product import Family
 from intalg.terms import MAX_TERM_DEPTH
 
+# the src/ directory this intalg came from, for fresh interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -434,6 +437,10 @@ class TestRobustness:
               "--max-intervals", "-1"], "InputError"),
             (["lemma16", "verify", "--max-order", "-1", "--max-k", "2"], "InputError"),
             (["lemma16", "verify", "--max-order", "3", "--max-k", "-2"], "InputError"),
+            (["gen", "random", "--seed", "0", "--kappa", "2", "--orders=-5,3",
+              "--count", "2", "--max-intervals", "1"], "InputError"),
+            (["gen", "homog", "--seed", "0", "--kappa", "2", "--orders=-5,3",
+              "--count", "2", "--sigma-size", "3"], "InputError"),
         ],
     )
     def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):
@@ -443,6 +450,8 @@ class TestRobustness:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert json.loads(err)["error"] == error
+        if "--orders=-5,3" in argv:
+            assert json.loads(err)["message"] == "negative order size -5"
 
     @pytest.mark.parametrize("term", ["-x0", "-(x0+x1)^x2"])
     def test_term_with_leading_minus(self, capsys, tmp_path, term):
@@ -523,11 +532,10 @@ class TestRobustness:
         ],
     )
     def test_process_prints_record_not_traceback(self, tmp_path, argv, code):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "intalg.cli", *argv],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
             capture_output=True,
             text=True,
         )
@@ -580,20 +588,44 @@ def readme_cli_commands():
 
 
 def test_readme_cli_commands_run(capsys, tmp_path, monkeypatch):
+    # each command also runs in a fresh interpreter, which imports only what
+    # its handler imports: a missing import or an import cycle shows there
     commands = readme_cli_commands()
     assert len(commands) == 9
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code in (EXIT_OK, EXIT_NO_WITNESS), (argv, err)
         assert "Traceback" not in err
+        proc = subprocess.run(
+            [sys.executable, "-m", "intalg.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), (argv, proc.stderr)
+
+
+def fresh_modules(module):
+    """The names in sys.modules after a fresh interpreter imports `module`."""
+    probe = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(proc.stdout))
 
 
 def test_import_does_not_load_numpy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = "import sys, intalg.cli; sys.exit('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    # each subcommand imports what only it runs; the package imports nothing
+    loaded = fresh_modules("intalg.cli")
+    unused = {"numpy", "logging", "intalg.search", "intalg.homogeneity", "intalg.triples"}
+    assert not loaded & unused
+    loaded = fresh_modules("intalg")
+    assert {m for m in loaded if m.startswith("intalg.")} == {"intalg.errors"}
 
 
 class TestAtomicWrite:
