@@ -26,6 +26,10 @@ EXIT_NO_WITNESS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
+# `ramsey quad` scans O(n^3) pair rows and stores n^2/2 colours: an
+# exhausting scan at the cap took 8.2 s and 40 MB (Python 3.11, 2 shared cores)
+MAX_RAMSEY_N = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises InputError where argparse would print usage and exit 2, so a
@@ -236,6 +240,8 @@ def _cmd_ramsey_quad(args) -> int:
         raise InputError(f"--colors must be at least 1, got {args.colors}")
     if args.n < 0:
         raise InputError(f"--n must be non-negative, got {args.n}")
+    if args.n > MAX_RAMSEY_N:
+        raise CapacityError(f"--n {args.n} exceeds cap {MAX_RAMSEY_N}")
     rng = random.Random(args.seed)
     # ramsey_quad asks for each pair once, in lexicographic order: no memo
     quad = search.ramsey_quad(args.n, lambda i, j: rng.randrange(args.colors))

@@ -65,6 +65,28 @@ class EllMatrix:
     ids: tuple  # one list per anchor alpha, None at indices <= alpha
     distinct_vectors: int
 
+    @classmethod
+    def index(cls, per_coordinate, n: int) -> "EllMatrix":
+        """The matrix of n members whose coordinates have the given ell
+        dicts, each holding every pair (alpha, beta), alpha < beta < n; the
+        dicts are taken as proven, not checked."""
+        per_coordinate = tuple(per_coordinate)
+        # a pair iterator per coordinate, not one list of the n^2/2 pairs,
+        # so that no pair tuple outlives its lookups
+        columns = [
+            map(d.__getitem__, itertools.combinations(range(n), 2))
+            for d in per_coordinate
+        ]
+        vecs = zip(*columns) if columns else [()] * (n * (n - 1) // 2)
+        vec_ids = {}
+        # ids in pair order, alpha-major: row alpha takes the next n - alpha - 1
+        flat = iter([vec_ids.setdefault(v, len(vec_ids)) for v in vecs])
+        ids = tuple(
+            [None] * (alpha + 1) + list(itertools.islice(flat, n - alpha - 1))
+            for alpha in range(n)
+        )
+        return cls(per_coordinate, ids, len(vec_ids))
+
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return tuple(d[(alpha, beta)] for d in self.per_coordinate)
 
@@ -242,8 +264,15 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """The selected members (increasing indices into the family), one cut
+    tuple per coordinate, and the nesting witnesses extraction proved on
+    the way: one {(alpha, beta): ell} dict per flattened coordinate, that
+    is per (coordinate, segment) in search.flatten's order, keyed by
+    positions in `indices`.  Like `log`, `ell` takes no part in equality."""
+
     indices: tuple
     parts: tuple  # one cut tuple per coordinate
+    ell: tuple = field(compare=False)
     log: dict = field(compare=False, default_factory=dict)
 
 
@@ -261,20 +290,25 @@ def _groups(sigmas) -> list:
     return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
 
-def _greedy_nested(sigmas, group, start: int) -> list:
+def _greedy_nested(sigmas, group, start: int) -> tuple:
+    """Members of group from position start on, each taken when it nests
+    in every one taken before it, with the witnesses: one {(i, j): ell}
+    dict per coordinate over positions i < j in the selection."""
     chosen = [group[start]]
+    ell = tuple({} for _ in sigmas[group[start]])
     for beta in group[start + 1 :]:
-        ok = True
+        rows = []
         for zeta, sig in enumerate(sigmas[beta]):
-            for alpha in chosen:
-                if _nesting_gap(sigmas[alpha][zeta].vec_sigma, sig.span) is None:
-                    ok = False
-                    break
-            if not ok:
+            row = [_nesting_gap(sigmas[a][zeta].vec_sigma, sig.span) for a in chosen]
+            if None in row:
                 break
-        if ok:
+            rows.append(row)
+        else:  # beta nests in every chosen member, in every coordinate
+            keys = [(i, len(chosen)) for i in range(len(chosen))]
+            for d, row in zip(ell, rows):
+                d.update(zip(keys, row))
             chosen.append(beta)
-    return chosen
+    return chosen, ell
 
 
 def _trivial_parts(kappa: int) -> tuple:
@@ -287,10 +321,19 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     Members are first grouped by sigma size and infinite-endpoint pattern
     per coordinate; within the largest group a shared partitioning set is
     tried first, then greedy nesting selection (best over all starting
-    positions and groups).
+    positions and groups).  The result carries the nesting witnesses of
+    the flattened coordinates, so that a search over them need not check
+    homogeneity again: on the partitioning-set path the segment reports of
+    check_semi_homogeneous on the winning cuts, on the greedy path the
+    gaps the selection accepted.
     """
     if not len(fam):
-        return ExtractionResult((), _trivial_parts(fam.kappa), {"strategy": "empty"})
+        return ExtractionResult(
+            (),
+            _trivial_parts(fam.kappa),
+            tuple({} for _ in range(fam.kappa)),
+            {"strategy": "empty"},
+        )
     # sigmas[alpha][zeta], computed once for grouping and greedy nesting
     sigmas = [[algebra.sigma_of(a) for a in member] for member in fam.members]
     groups = _groups(sigmas)
@@ -307,17 +350,27 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
             break
         parts.append(cuts)
     if parts is not None:
-        return ExtractionResult(
-            tuple(main), tuple(parts), {"strategy": "partitioning-set"}
+        ell = tuple(
+            segment.report.ell
+            for zeta, cuts in enumerate(parts)
+            for segment in check_semi_homogeneous(
+                [fam.members[alpha][zeta] for alpha in main], cuts
+            ).segments
         )
-    best = []
+        return ExtractionResult(
+            tuple(main), tuple(parts), ell, {"strategy": "partitioning-set"}
+        )
+    best, best_ell = [], ()
     for group in groups:
         for start in range(len(group)):
             if len(group) - start <= len(best):
                 break
-            cand = _greedy_nested(sigmas, group, start)
+            cand, cand_ell = _greedy_nested(sigmas, group, start)
             if len(cand) > len(best):
-                best = cand
+                best, best_ell = cand, cand_ell
     return ExtractionResult(
-        tuple(best), _trivial_parts(fam.kappa), {"strategy": "greedy-nesting"}
+        tuple(best),
+        _trivial_parts(fam.kappa),
+        best_ell,
+        {"strategy": "greedy-nesting"},
     )

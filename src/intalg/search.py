@@ -71,7 +71,8 @@ class Certificate:
 
 def ell_matrix(fam: Family) -> EllMatrix:
     """Nesting-gap witnesses for every pair, bundled over coordinates,
-    with their gap vectors indexed by id."""
+    with their gap vectors indexed by id.  Each coordinate is checked
+    first: InputError names the first one that is not homogeneous."""
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -82,22 +83,7 @@ def ell_matrix(fam: Family) -> EllMatrix:
                 f"fails on pair {v.pair}"
             )
         per_coordinate.append(report.ell)
-    n = len(fam)
-    # a pair iterator per coordinate, not one list of the n^2/2 pairs, so
-    # that no pair tuple outlives its lookups
-    columns = [
-        map(d.__getitem__, itertools.combinations(range(n), 2))
-        for d in per_coordinate
-    ]
-    vecs = zip(*columns) if columns else [()] * (n * (n - 1) // 2)
-    vec_ids = {}
-    # ids in pair order, alpha-major: row alpha takes the next n - alpha - 1
-    flat = iter([vec_ids.setdefault(v, len(vec_ids)) for v in vecs])
-    ids = tuple(
-        [None] * (alpha + 1) + list(itertools.islice(flat, n - alpha - 1))
-        for alpha in range(n)
-    )
-    return EllMatrix(tuple(per_coordinate), ids, len(vec_ids))
+    return EllMatrix.index(per_coordinate, len(fam))
 
 
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
@@ -319,7 +305,11 @@ def flatten(fam: Family, indices, parts):
 
 def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
     """Extract a semi-homogeneous subfamily, flatten its segments into
-    fresh coordinates, and search for a sextuple certificate there."""
+    fresh coordinates, and search for a sextuple certificate there.
+
+    The ell matrix of the flattened family is indexed from the nesting
+    witnesses extraction has already proved, so homogeneity is checked
+    once, by extraction, and not again on the flattened family."""
     extraction = homogeneity.extract_semi_homogeneous(raw)
     flat, flatten_map = flatten(raw, extraction.indices, extraction.parts)
     info = {
@@ -337,7 +327,7 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
             "required_members": 6,
         }
         return PipelineResult(None, info)
-    matrix = ell_matrix(flat)
+    matrix = EllMatrix.index(extraction.ell, len(flat))
     state = pigeonhole_state(matrix)
     info["pigeonhole"] = {
         "distinct_values": state.distinct_values,

@@ -320,6 +320,16 @@ class TestRamsey:
         assert record["error"] == "InputError" and flag in record["message"]
 
 
+    def test_n_over_cap(self, capsys):
+        n = str(cli.MAX_RAMSEY_N + 1)
+        code, out, err = run(
+            capsys, "ramsey", "quad", "--colors", "1000000", "--n", n, "--seed", "0"
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        record = json.loads(err)
+        assert record["error"] == "CapacityError" and n in record["message"]
+
+
 class TestGen:
     def test_homog_validates(self, capsys, tmp_path):
         out_path = tmp_path / "fam.json"

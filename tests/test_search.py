@@ -1,5 +1,6 @@
 """Gap-vector machinery, Ramsey-style quadruple search and certificates."""
 
+import collections
 import itertools
 import random
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from intalg import algebra, homogeneity, product, search, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
+from intalg.cli import gen_random_family
 from intalg.errors import InputError
-from intalg.homogeneity import gen_homogeneous
+from intalg.homogeneity import EllMatrix, extract_semi_homogeneous, gen_homogeneous
 from intalg.product import Family, is_zero, prod_eval
 from intalg.search import (
     INSIDE,
@@ -28,6 +30,7 @@ from intalg.search import (
     required_members,
 )
 
+from .conftest import random_element
 from .pointset_oracle import oracle_gap_side
 from .sextuple_oracle import naive_find_sextuple
 
@@ -436,8 +439,6 @@ class TestTermDomination:
         # x0*x1*(-x2)*(-x3)*x4*(-x5) <= (x1^x2)*x0*(x4^x5)*(-x3) pointwise
         upper = terms.parse("(x1^x2)*x0*(x4^x5)*-x3")
         rng = random.Random(19)
-        from .conftest import random_element
-
         for _ in range(300):
             p = rng.randint(0, 16)
             assignment = [random_element(rng, p) for _ in range(6)]
@@ -486,23 +487,30 @@ class TestPipeline:
         assert result.log["parts"] == [["-inf", "+inf"]]
         assert_certificate_sound(result.certificate, result_flat(fam, result))
 
-    def test_ell_matrix_built_once(self, monkeypatch):
-        built = []
-        real = search.ell_matrix
+    def test_no_homogeneity_check_on_flat_family(self, monkeypatch):
+        # the pipeline indexes the witnesses extraction proved and never
+        # builds an ell matrix itself; find_sextuple builds one only when
+        # it is not given one
+        built, searched = [], []
+        real_matrix, real_find = search.ell_matrix, search.find_sextuple
         monkeypatch.setattr(
-            search, "ell_matrix", lambda fam: built.append(fam) or real(fam)
+            search, "ell_matrix", lambda fam: built.append(fam) or real_matrix(fam)
         )
-        fam = nested_family(13, 1, 64, 9, 4, gap_choices=[1] * 9)
-        assert pipeline(fam, "symmetric").found
+        monkeypatch.setattr(
+            search,
+            "find_sextuple",
+            lambda *args: searched.append(args) or real_find(*args),
+        )
+        # 22 cut candidates, past MAX_CUT_CANDIDATES
+        fam = nested_family(13, 1, 64, 11, 4, gap_choices=[1] * 11)
+        result = pipeline(fam, "symmetric")
+        assert result.found
+        assert result.log["extraction"]["strategy"] == "greedy-nesting"
+        assert built == []
+        [(flat, mode, matrix)] = searched
+        assert matrix == real_matrix(flat)
+        assert real_find(flat, mode) == result.certificate
         assert len(built) == 1
-        # a matrix passed in is used as is; without one, find_sextuple
-        # builds its own
-        flat = built[0]
-        matrix = real(flat)
-        assert find_sextuple(flat, "symmetric", matrix) is not None
-        assert len(built) == 1
-        assert find_sextuple(flat, "symmetric") is not None
-        assert len(built) == 2
 
     def test_two_segment_input_doubles_kappa(self):
         # glue two independent nested sequences on the two halves of the
@@ -549,3 +557,79 @@ def result_flat(fam, result):
         ],
     )
     return flat
+
+
+def block_family(rng, n, blocks):
+    """n members, each the union of one member of every block's nested
+    sequence laid side by side: block boundaries are endpoints of every
+    member, so the family needs exactly blocks - 1 cuts."""
+    sizes = [rng.randint(n + 2, 12) for _ in range(blocks)]
+    points = [set() for _ in range(n)]
+    offset = 0
+    for q in sizes:
+        piece = gen_homogeneous(rng.randrange(2**32), q, n, 3)
+        for pts, a in zip(points, piece):
+            pts.update(offset + x for x in algebra.to_point_set(a))
+        offset += q
+    return Family.from_columns(
+        (offset,), [[algebra.from_point_set(offset, pts) for pts in points]]
+    )
+
+
+def staircase_family(rng, n, p):
+    """Single intervals [s_i, t_i) with every s before every t: each pair
+    crosses, so no cut set makes the family semi-homogeneous."""
+    pts = sorted(rng.sample(range(1, p), 2 * n))
+    return Family.from_columns(
+        (p,), [[Element(p, (pts[i], pts[n + i])) for i in range(n)]]
+    )
+
+
+def greedy_family(rng, kappa, n, k):
+    """A nested product family, with more than MAX_CUT_CANDIDATES cut
+    candidates, into which random members are shuffled."""
+    p = 10 * n
+    cols = [gen_homogeneous(rng.randrange(2**32), p, n, k) for _ in range(kappa)]
+    members = list(zip(*cols))
+    for _ in range(rng.randint(0, 3)):
+        extra = tuple(random_element(rng, p) for _ in range(kappa))
+        members.insert(rng.randint(0, len(members)), extra)
+    return Family(kappa, (p,) * kappa, tuple(members))
+
+
+def differential_families():
+    rng = random.Random(20261018)
+    yield Family(2, (8, 8), ())
+    yield Family(0, (), ())
+    yield Family(0, (), ((),) * 7)
+    for _ in range(160):
+        kappa = rng.randint(0, 3)
+        orders = [rng.randint(4, 9) for _ in range(kappa)]
+        max_intervals = rng.randint(0, (min(orders, default=4) - 2) // 2)
+        yield gen_random_family(
+            rng.randrange(2**32), kappa, orders, rng.randint(0, 14), max_intervals
+        )
+    for _ in range(50):
+        yield greedy_family(rng, rng.randint(1, 3), rng.randint(8, 12), rng.randint(5, 6))
+    for _ in range(60):
+        yield block_family(rng, rng.randint(3, 5), rng.choice((2, 2, 3, 4)))
+    for _ in range(20):
+        yield staircase_family(rng, rng.randint(2, 4), 16)
+
+
+def test_extraction_witnesses_index_like_ell_matrix():
+    """The matrix indexed from extraction's witnesses equals the one
+    ell_matrix checks out of the flattened family."""
+    strategies = collections.Counter()
+    cuts = collections.Counter()
+    for fam in differential_families():
+        extraction = extract_semi_homogeneous(fam)
+        flat, _ = search.flatten(fam, extraction.indices, extraction.parts)
+        assert EllMatrix.index(extraction.ell, len(flat)) == ell_matrix(flat)
+        strategies[extraction.log["strategy"]] += 1
+        if extraction.log["strategy"] == "partitioning-set":
+            cuts[max((len(c) - 2 for c in extraction.parts), default=0)] += 1
+    assert sum(strategies.values()) >= 290
+    assert strategies["greedy-nesting"] >= 50
+    assert strategies["partitioning-set"] >= 50
+    assert cuts[1] and cuts[2] and cuts[3]
