@@ -45,9 +45,9 @@ def run_one(seed, mode, n_members):
     matrix = ell_matrix(fam)
     state = pigeonhole_state(matrix)
     need = required_members(state.distinct_values, mode)
-    start = time.time()
+    start = time.perf_counter()
     cert = find_sextuple(fam, mode, matrix)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     verified = cert is not None and product.vanishes(cert.term, fam, cert.indices)
     return {
         "seed": seed,

@@ -101,13 +101,15 @@ class Element:
 
 @dataclass(frozen=True)
 class Sigma:
-    """Endpoint data of an element: sigma = sigma_minus + {-inf, +inf}."""
+    """Endpoint data of an element: vec_sigma is its sorted endpoint set
+    sigma, the canonical endpoints with -inf and +inf added, and n_a its
+    size.  shape holds what homogeneity compares outright: (n_a, whether
+    the element starts at -inf, whether it ends at +inf)."""
 
-    sigma_minus: frozenset
-    sigma: frozenset
     n_a: int
     vec_sigma: tuple
     span: tuple | None  # (least, greatest) finite endpoint, None if none
+    shape: tuple
 
 
 def empty(order_size: int) -> Element:
@@ -190,11 +192,12 @@ def complement(a: Element) -> Element:
 
 
 def sigma_of(a: Element) -> Sigma:
-    minus = frozenset(a.endpoints)
-    sig = minus | {NEG_INF, POS_INF}
-    vec = tuple(sorted(sig))
-    span = (vec[1], vec[-2]) if len(vec) > 2 else None
-    return Sigma(minus, sig, len(sig), vec, span)
+    eps = a.endpoints
+    starts, ends = eps[:1] == (NEG_INF,), eps[-1:] == (POS_INF,)
+    finite = eps[starts : len(eps) - ends]
+    span = (finite[0], finite[-1]) if finite else None
+    n_a = len(finite) + 2
+    return Sigma(n_a, (NEG_INF, *finite, POS_INF), span, (n_a, starts, ends))
 
 
 def restrict(a: Element, lo: Endpoint, hi: Endpoint) -> Element:

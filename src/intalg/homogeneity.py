@@ -1,10 +1,11 @@
 """Homogeneous and semi-homogeneous families of interval-algebra elements.
 
-A sequence is homogeneous when all members share one sigma size and one
-pattern of infinite endpoints, and every later member's finite endpoints
-sit strictly inside a single gap of each earlier member.  The gap index
-witnessing the nesting for a pair (alpha, beta) is the ell value; the
-bundle of all ell values over a product family is an EllMatrix.
+A sequence is homogeneous when all members share one Sigma shape (sigma
+size and pattern of infinite endpoints), and every later member's finite
+endpoints sit strictly inside a single gap of each earlier member.  The
+gap index witnessing the nesting for a pair (alpha, beta) is the ell
+value; the bundle of all ell values over a product family is an
+EllMatrix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class Violation:
     pair: tuple
     detail: str
 
+    def __str__(self) -> str:
+        return f"clause {self.clause} fails on pair {self.pair}"
+
 
 @dataclass(frozen=True)
 class HomogeneityReport:
@@ -40,16 +44,10 @@ class HomogeneityReport:
 
 
 @dataclass(frozen=True)
-class SegmentReport:
-    segment: int
-    window: tuple
-    report: HomogeneityReport
-
-
-@dataclass(frozen=True)
 class SemiHomogeneityReport:
     ok: bool
-    segments: tuple
+    cuts: tuple
+    segments: tuple  # one HomogeneityReport per window [cuts[m], cuts[m+1])
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class EllMatrix:
         return tuple(d[(alpha, beta)] for d in self.per_coordinate)
 
 
-def _nesting_gap(vec_alpha: tuple, span) -> int | None:
+def nesting_gap(vec_alpha: tuple, span) -> int | None:
     """Least ell with vec_alpha[ell] < s < vec_alpha[ell+1] for every
     finite endpoint s of beta, given beta's Sigma.span, or None; ell
     defaults to 0 when beta has no finite endpoints."""
@@ -107,32 +105,21 @@ def _nesting_gap(vec_alpha: tuple, span) -> int | None:
 
 
 def check_homogeneous(seq) -> HomogeneityReport:
-    seq = list(seq)
     sigmas = [algebra.sigma_of(a) for a in seq]
-    for i in range(1, len(seq)):
-        if sigmas[i].n_a != sigmas[0].n_a:
-            return HomogeneityReport(
-                False,
-                None,
-                Violation(1, (0, i), f"|sigma| {sigmas[i].n_a} != {sigmas[0].n_a}"),
-            )
-    infinite = [s.sigma_minus & {NEG_INF, POS_INF} for s in sigmas]
-    for i in range(1, len(seq)):
-        if infinite[i] != infinite[0]:
-            return HomogeneityReport(
-                False,
-                None,
-                Violation(2, (0, i), "infinite-endpoint patterns differ"),
-            )
+    for i, sig in enumerate(sigmas):
+        if sig.n_a != sigmas[0].n_a:
+            detail = f"|sigma| {sig.n_a} != {sigmas[0].n_a}"
+            return HomogeneityReport(False, None, Violation(1, (0, i), detail))
+    for i, sig in enumerate(sigmas):  # equal n_a: shapes differ in clause 2
+        if sig.shape != sigmas[0].shape:
+            detail = "infinite-endpoint patterns differ"
+            return HomogeneityReport(False, None, Violation(2, (0, i), detail))
     ell = {}
-    for alpha, beta in itertools.combinations(range(len(seq)), 2):
-        gap = _nesting_gap(sigmas[alpha].vec_sigma, sigmas[beta].span)
+    for alpha, beta in itertools.combinations(range(len(sigmas)), 2):
+        gap = nesting_gap(sigmas[alpha].vec_sigma, sigmas[beta].span)
         if gap is None:
-            return HomogeneityReport(
-                False,
-                None,
-                Violation(3, (alpha, beta), "no single gap contains the later endpoints"),
-            )
+            detail = "no single gap contains the later endpoints"
+            return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
         ell[(alpha, beta)] = gap
     return HomogeneityReport(True, ell)
 
@@ -150,17 +137,17 @@ def _validate_cuts(cuts) -> tuple:
 def check_semi_homogeneous(seq, cuts) -> SemiHomogeneityReport:
     seq = list(seq)
     cuts = _validate_cuts(cuts)
-    segments = []
-    for m in range(len(cuts) - 1):
-        lo, hi = cuts[m], cuts[m + 1]
-        restricted = [algebra.restrict(a, lo, hi) for a in seq]
-        segments.append(SegmentReport(m, (lo, hi), check_homogeneous(restricted)))
-    return SemiHomogeneityReport(all(s.report.ok for s in segments), tuple(segments))
+    segments = tuple(
+        check_homogeneous([algebra.restrict(a, lo, hi) for a in seq])
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    return SemiHomogeneityReport(all(r.ok for r in segments), cuts, segments)
 
 
-def find_partitioning_set(seq):
-    """Minimal-segment partitioning set drawn from the members' finite
-    endpoints (lexicographically least among minimal), or None."""
+def find_partitioning_set(seq) -> SemiHomogeneityReport | None:
+    """The check_semi_homogeneous report of the minimal-segment
+    partitioning set drawn from the members' finite endpoints
+    (lexicographically least among minimal), or None."""
     seq = list(seq)
     candidates = sorted(
         set().union(*(set(a.endpoints) for a in seq)) - {NEG_INF, POS_INF}
@@ -171,9 +158,9 @@ def find_partitioning_set(seq):
         )
     for r in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, r):
-            cuts = (NEG_INF, *combo, POS_INF)
-            if check_semi_homogeneous(seq, cuts).ok:
-                return cuts
+            report = check_semi_homogeneous(seq, (NEG_INF, *combo, POS_INF))
+            if report.ok:
+                return report
     return None
 
 
@@ -187,7 +174,7 @@ def is_A_partition(C, a: Element, A) -> bool:
     if not {NEG_INF, POS_INF} <= C:
         return False
     sig = algebra.sigma_of(a)
-    if not (set(sig.sigma) & A) <= C:
+    if not (set(sig.vec_sigma) & A) <= C:
         return False
     vec = sig.vec_sigma
     for ell in range(sig.n_a - 1):
@@ -276,17 +263,11 @@ class ExtractionResult:
     log: dict = field(compare=False, default_factory=dict)
 
 
-def _group_key(sigmas) -> tuple:
-    return tuple(
-        (sig.n_a, NEG_INF in sig.sigma_minus, POS_INF in sig.sigma_minus)
-        for sig in sigmas
-    )
-
-
 def _groups(sigmas) -> list:
     groups = {}
     for alpha, member_sigmas in enumerate(sigmas):
-        groups.setdefault(_group_key(member_sigmas), []).append(alpha)
+        key = tuple(sig.shape for sig in member_sigmas)
+        groups.setdefault(key, []).append(alpha)
     return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
 
@@ -299,7 +280,7 @@ def _greedy_nested(sigmas, group, start: int) -> tuple:
     for beta in group[start + 1 :]:
         rows = []
         for zeta, sig in enumerate(sigmas[beta]):
-            row = [_nesting_gap(sigmas[a][zeta].vec_sigma, sig.span) for a in chosen]
+            row = [nesting_gap(sigmas[a][zeta].vec_sigma, sig.span) for a in chosen]
             if None in row:
                 break
             rows.append(row)
@@ -318,14 +299,14 @@ def _trivial_parts(kappa: int) -> tuple:
 def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     """Select a subfamily that is semi-homogeneous in every coordinate.
 
-    Members are first grouped by sigma size and infinite-endpoint pattern
-    per coordinate; within the largest group a shared partitioning set is
-    tried first, then greedy nesting selection (best over all starting
-    positions and groups).  The result carries the nesting witnesses of
+    Members are first grouped by their Sigma shapes, one per coordinate;
+    within the largest group a shared partitioning set is tried first,
+    then greedy nesting selection (best over all starting positions and
+    groups).  The result carries the nesting witnesses of
     the flattened coordinates, so that a search over them need not check
-    homogeneity again: on the partitioning-set path the segment reports of
-    check_semi_homogeneous on the winning cuts, on the greedy path the
-    gaps the selection accepted.
+    homogeneity again: on the partitioning-set path the segment reports
+    find_partitioning_set returns with the winning cuts, on the greedy
+    path the gaps the selection accepted.
     """
     if not len(fam):
         return ExtractionResult(
@@ -338,27 +319,21 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     sigmas = [[algebra.sigma_of(a) for a in member] for member in fam.members]
     groups = _groups(sigmas)
     main = groups[0]
-    parts = []
+    reports = []
     for zeta in range(fam.kappa):
-        seq = [fam.members[alpha][zeta] for alpha in main]
         try:
-            cuts = find_partitioning_set(seq)
+            report = find_partitioning_set([fam.members[a][zeta] for a in main])
         except CapacityError:
-            cuts = None
-        if cuts is None:
-            parts = None
+            report = None
+        if report is None:
             break
-        parts.append(cuts)
-    if parts is not None:
-        ell = tuple(
-            segment.report.ell
-            for zeta, cuts in enumerate(parts)
-            for segment in check_semi_homogeneous(
-                [fam.members[alpha][zeta] for alpha in main], cuts
-            ).segments
-        )
+        reports.append(report)
+    else:
         return ExtractionResult(
-            tuple(main), tuple(parts), ell, {"strategy": "partitioning-set"}
+            tuple(main),
+            tuple(r.cuts for r in reports),
+            tuple(seg.ell for r in reports for seg in r.segments),
+            {"strategy": "partitioning-set"},
         )
     best, best_ell = [], ()
     for group in groups:

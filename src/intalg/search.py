@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import algebra, homogeneity, terms
 from .errors import InputError
@@ -69,21 +69,24 @@ class Certificate:
         }
 
 
-def ell_matrix(fam: Family) -> EllMatrix:
-    """Nesting-gap witnesses for every pair, bundled over coordinates,
-    with their gap vectors indexed by id.  Each coordinate is checked
-    first: InputError names the first one that is not homogeneous."""
+def _checked_ell(fam: Family) -> list:
+    """One {(alpha, beta): ell} dict per coordinate, each checked first:
+    InputError names the first coordinate that is not homogeneous."""
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
         if not report.ok:
-            v = report.violation
             raise InputError(
-                f"coordinate {zeta} is not homogeneous: clause {v.clause} "
-                f"fails on pair {v.pair}"
+                f"coordinate {zeta} is not homogeneous: {report.violation}"
             )
         per_coordinate.append(report.ell)
-    return EllMatrix.index(per_coordinate, len(fam))
+    return per_coordinate
+
+
+def ell_matrix(fam: Family) -> EllMatrix:
+    """Nesting-gap witnesses for every pair, bundled over coordinates,
+    with their gap vectors indexed by id."""
+    return EllMatrix.index(_checked_ell(fam), len(fam))
 
 
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
@@ -238,10 +241,9 @@ def ramsey_quad(n: int, colors):
     return None
 
 
-def _quadruple_evidence(fam, matrix, idx):
+def _quadruple_evidence(fam, ells, idx):
     per_coordinate = []
-    for zeta in range(fam.kappa):
-        d = matrix.per_coordinate[zeta]
+    for zeta, d in enumerate(ells):
         ell = d.get((idx[0], idx[2]))
         side = (
             gap_side(fam, zeta, idx[0], ell) if ell is not None else None
@@ -255,23 +257,24 @@ def _quadruple_evidence(fam, matrix, idx):
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
-    The pair coloring by gap vectors (as their EllMatrix.ids) is only
-    a search heuristic: a pattern hit is accepted solely on evaluation, and
-    exhaustive search over all quadruples is the fallback.
+    The pair coloring by gap vectors, read from the checked ell dicts as
+    ramsey_quad reaches each row, is only a search heuristic: a pattern hit
+    is accepted solely on evaluation, and exhaustive search over all
+    quadruples is the fallback.
     """
-    matrix = ell_matrix(fam)
+    ells = _checked_ell(fam)
     n = len(fam)
-    idx = ramsey_quad(n, lambda i, j: matrix.ids[i][j]) if n >= 4 else None
+    idx = ramsey_quad(n, lambda i, j: tuple([d[i, j] for d in ells]))
     if idx is not None:
         if vanishes(TERM_QUAD, fam, idx):
             return Certificate(
-                idx, TERM_QUAD, "quadruple", _quadruple_evidence(fam, matrix, idx)
+                idx, TERM_QUAD, "quadruple", _quadruple_evidence(fam, ells, idx)
             )
         log.warning("gap-vector quadruple %s failed evaluation", idx)
     for quad in itertools.combinations(range(n), 4):
         if vanishes(TERM_QUAD, fam, quad):
             return Certificate(
-                quad, TERM_QUAD, "quadruple", _quadruple_evidence(fam, matrix, quad)
+                quad, TERM_QUAD, "quadruple", _quadruple_evidence(fam, ells, quad)
             )
     return None
 
@@ -338,7 +341,4 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
     if cert is None:
         info["insufficient"] = info["pigeonhole"]
         return PipelineResult(None, info)
-    cert = Certificate(
-        cert.indices, cert.term, cert.mode, cert.per_coordinate, info
-    )
-    return PipelineResult(cert, info)
+    return PipelineResult(replace(cert, provenance=info), info)

@@ -103,27 +103,18 @@ def verify_triples(max_p: int, max_k: int) -> SweepReport:
     total = interior = boundary = 0
     counterexamples = []
     for p in range(max_p + 1):
-        groups = {}
+        groups = {}  # clauses 1 and 2: one group per Sigma shape
         for a in _all_elements(p):
             sig = algebra.sigma_of(a)
-            if sig.n_a > max_k:
-                continue
-            key = (
-                sig.n_a,
-                algebra.NEG_INF in sig.sigma_minus,
-                algebra.POS_INF in sig.sigma_minus,
-            )
-            groups.setdefault(key, []).append(a)
-        for (n, _, _), members in groups.items():
-            sigs = [algebra.sigma_of(a) for a in members]
+            if sig.n_a <= max_k:
+                groups.setdefault(sig.shape, []).append((a, sig))
+        for (n, _, _), group in groups.items():
+            members = [a for a, _ in group]
             size = len(members)
             # pairwise nesting gaps; None marks a clause-3 failure
             gap = [
-                [
-                    homogeneity._nesting_gap(sigs[i].vec_sigma, sigs[j].span)
-                    for j in range(size)
-                ]
-                for i in range(size)
+                [homogeneity.nesting_gap(si.vec_sigma, sj.span) for _, sj in group]
+                for _, si in group
             ]
             for i, j, k in itertools.product(range(size), repeat=3):
                 if gap[i][j] is None or gap[i][k] is None or gap[j][k] is None:

@@ -152,13 +152,14 @@ class TestOperations:
 class TestSigma:
     def test_empty(self):
         sig = algebra.sigma_of(algebra.empty(5))
-        assert sig.sigma_minus == frozenset()
+        assert sig.shape == (2, False, False)
         assert sig.n_a == 2
         assert sig.vec_sigma == (NEG_INF, POS_INF)
 
     def test_half_line(self):
         sig = algebra.sigma_of(Element(5, (NEG_INF, 2)))
-        assert sig.sigma_minus == frozenset({NEG_INF, 2})
+        assert sig.shape == (3, True, False)
+        assert sig.vec_sigma == (NEG_INF, 2, POS_INF)
         assert sig.n_a == 3
 
     def test_interval(self):
@@ -171,6 +172,21 @@ class TestSigma:
         assert algebra.sigma_of(algebra.full(5)).span is None
         assert algebra.sigma_of(Element(5, (NEG_INF, 2))).span == (2, 2)
         assert algebra.sigma_of(Element(12, (1, 3, 8, POS_INF))).span == (1, 8)
+
+    def test_matches_point_set_oracle(self):
+        # sigma read off membership flips: x is a finite endpoint when x
+        # and x - 1 differ; -inf (+inf) is an endpoint of the element when
+        # the first (last) point is in it
+        for p in range(7):
+            for a in all_elements(p):
+                pts = oracle_points(a)
+                finite = [x for x in range(1, p) if (x in pts) != (x - 1 in pts)]
+                n_a = len(finite) + 2
+                sig = algebra.sigma_of(a)
+                assert sig.vec_sigma == (NEG_INF, *finite, POS_INF)
+                assert sig.n_a == n_a
+                assert sig.span == ((finite[0], finite[-1]) if finite else None)
+                assert sig.shape == (n_a, 0 in pts, p - 1 in pts)
 
 
 class TestRestrict:

@@ -24,7 +24,7 @@ from .pointset_oracle import oracle_points
 
 def gap_scan(vec_alpha, beta):
     """Independent oracle for the nesting gap: try every index directly."""
-    finite = algebra.sigma_of(beta).sigma_minus - {NEG_INF, POS_INF}
+    finite = set(beta.endpoints) - {NEG_INF, POS_INF}
     for ell in range(len(vec_alpha) - 1):
         if all(vec_alpha[ell] < s < vec_alpha[ell + 1] for s in finite):
             return ell
@@ -93,7 +93,7 @@ class TestCheckHomogeneous:
             p = rng.randint(0, 10)
             a, b = random_element(rng, p), random_element(rng, p)
             vec = algebra.sigma_of(a).vec_sigma
-            got = homogeneity._nesting_gap(vec, algebra.sigma_of(b).span)
+            got = homogeneity.nesting_gap(vec, algebra.sigma_of(b).span)
             assert got == gap_scan(vec, b)
             outcomes.add(got is None)
         assert outcomes == {True, False}
@@ -112,20 +112,19 @@ class TestSemiHomogeneous:
         free = next(x for x in range(1, 30) if x not in used)
         report = check_semi_homogeneous(seq, (NEG_INF, free, POS_INF))
         assert report.ok
+        assert report.cuts == (NEG_INF, free, POS_INF)
         # every segment re-checks via the plain checker on restrictions
-        for seg in report.segments:
-            lo, hi = seg.window
+        for (lo, hi), seg in zip(zip(report.cuts, report.cuts[1:]), report.segments):
             restricted = [algebra.restrict(a, lo, hi) for a in seq]
-            assert check_homogeneous(restricted).ok == seg.report.ok
+            assert check_homogeneous(restricted) == seg
 
     def test_crossing_pair_per_segment(self):
         seq = [Element(9, (1, 3)), Element(9, (2, 5))]
         report = check_semi_homogeneous(seq, (NEG_INF, 2, POS_INF))
         assert len(report.segments) == 2
-        for seg in report.segments:
-            lo, hi = seg.window
+        for (lo, hi), seg in zip(zip(report.cuts, report.cuts[1:]), report.segments):
             restricted = [algebra.restrict(a, lo, hi) for a in seq]
-            assert seg.report.ok == check_homogeneous(restricted).ok
+            assert seg == check_homogeneous(restricted)
 
     def test_malformed_parts(self):
         with pytest.raises(InputError):
@@ -152,27 +151,36 @@ def exhaustive_partitioning_oracle(seq):
 class TestFindPartitioningSet:
     def test_homogeneous_needs_no_cut(self):
         seq = gen_homogeneous(2, 30, 3, 4)
-        assert find_partitioning_set(seq) == (NEG_INF, POS_INF)
+        report = find_partitioning_set(seq)
+        assert report.cuts == (NEG_INF, POS_INF)
+        assert report.segments == (check_homogeneous(seq),)
 
     def test_two_blocks_need_one_cut(self):
         # two nested blocks glued at the shared boundary point 10
         seq = [Element(20, (1, 8, 10, 17)), Element(20, (2, 5, 10, 13))]
         assert not check_homogeneous(seq).ok
-        cuts = find_partitioning_set(seq)
-        assert cuts is not None and len(cuts) == 3
-        assert check_semi_homogeneous(seq, cuts).ok
-        assert cuts == exhaustive_partitioning_oracle(seq)
+        report = find_partitioning_set(seq)
+        assert report is not None and len(report.cuts) == 3
+        assert report == check_semi_homogeneous(seq, report.cuts)
+        assert report.ok
+        assert report.cuts == exhaustive_partitioning_oracle(seq)
 
     def test_matches_oracle_on_random_input(self):
         rng = random.Random(17)
-        for _ in range(30):
-            seq = [random_element(rng, 8) for _ in range(3)]
+        # triples at order 8 rarely have a partitioning set; pairs at
+        # order 6 sometimes do
+        cases = [(3, 8)] * 30 + [(2, 6)] * 60
+        found = 0
+        for size, p in cases:
+            seq = [random_element(rng, p) for _ in range(size)]
             got = find_partitioning_set(seq)
             want = exhaustive_partitioning_oracle(seq)
             if want is None:
                 assert got is None
             else:
-                assert got == want
+                assert got == check_semi_homogeneous(seq, want)
+                found += 1
+        assert found > 0
 
     def test_capacity(self):
         seq = [
@@ -283,6 +291,30 @@ class TestExtract:
                 assert check_semi_homogeneous(seq, cuts).ok
             oracle = exhaustive_max_homogeneous(fam)
             assert 2 * len(result.indices) >= len(oracle)
+
+    def test_winning_cut_sets_checked_once(self, monkeypatch):
+        # extraction takes cuts and witnesses from find_partitioning_set's
+        # report, so it makes no check_semi_homogeneous call of its own
+        calls = []
+        real = homogeneity.check_semi_homogeneous
+        monkeypatch.setattr(
+            homogeneity,
+            "check_semi_homogeneous",
+            lambda seq, cuts: calls.append(cuts) or real(seq, cuts),
+        )
+        blocks = [Element(20, (1, 8, 10, 17)), Element(20, (2, 5, 10, 13))]
+        cols = [blocks, gen_homogeneous(5, 20, 2, 4)]
+        fam = Family.from_columns((20, 20), cols)
+        result = extract_semi_homogeneous(fam)
+        assert result.log["strategy"] == "partitioning-set"
+        assert result.indices == (0, 1)
+        assert len(result.parts[0]) == 3
+        extracting = len(calls)
+        calls.clear()
+        reports = [find_partitioning_set(col) for col in cols]
+        assert len(calls) == extracting
+        assert result.parts == tuple(r.cuts for r in reports)
+        assert result.ell == tuple(seg.ell for r in reports for seg in r.segments)
 
     def test_empty_family(self):
         fam = Family(1, (4,), ())

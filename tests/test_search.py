@@ -433,6 +433,26 @@ class TestFindQuadruple:
             assert (cert.indices if cert else None) == want
         assert hits > 0
 
+    def test_builds_no_ell_matrix(self, monkeypatch):
+        # find_quadruple colours pairs by the gap vectors of the ell dicts
+        # it checked; indexing them into an EllMatrix is never needed
+        rng = random.Random(32)
+        cases = []
+        for _ in range(20):
+            n = rng.randint(4, 12)
+            choices = [rng.randrange(3) for _ in range(n)]
+            kappa = rng.randint(1, 3)
+            fam = nested_family(rng.randrange(10**6), kappa, 64, n, 5, choices)
+            cases.append((fam, find_quadruple(fam)))
+
+        def refuse(cls, per_coordinate, n):
+            raise AssertionError("find_quadruple built an EllMatrix")
+
+        monkeypatch.setattr(EllMatrix, "index", classmethod(refuse))
+        for fam, want in cases:
+            assert find_quadruple(fam) == want
+        assert any(want for _, want in cases)
+
 
 class TestTermDomination:
     def test_short_term_below_symmetric_shape(self):

@@ -54,7 +54,8 @@ class TestClassify:
         assert c.vanishing
 
     def test_non_homogeneous_rejected(self):
-        with pytest.raises(InputError):
+        message = r"^triple is not homogeneous: clause 3 fails on pair \(0, 1\)$"
+        with pytest.raises(InputError, match=message):
             classify_triple(
                 Element(9, (1, 3)), Element(9, (2, 5)), Element(9, (3, 4))
             )
