@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import algebra
@@ -92,16 +92,16 @@ class EllMatrix:
 def nesting_gap(vec_alpha: tuple, span) -> int | None:
     """Least ell with vec_alpha[ell] < s < vec_alpha[ell+1] for every
     finite endpoint s of beta, given beta's Sigma.span, or None; ell
-    defaults to 0 when beta has no finite endpoints."""
+    defaults to 0 when beta has no finite endpoints.
+
+    The rule: beta nests in a gap of alpha exactly when no endpoint of
+    alpha lies in [lo, hi], that is when the first one at or above lo lies
+    above hi; the endpoints below lo, less -inf, count the gap's index."""
     if span is None:
         return 0
     lo, hi = span
-    ell = bisect_left(vec_alpha, lo) - 1
-    if ell < 0 or vec_alpha[ell] >= lo:
-        return None
-    if hi >= vec_alpha[ell + 1]:
-        return None
-    return ell
+    ell = bisect_left(vec_alpha, lo)
+    return ell - 1 if hi < vec_alpha[ell] else None
 
 
 def check_homogeneous(seq) -> HomogeneityReport:
@@ -162,26 +162,6 @@ def find_partitioning_set(seq) -> SemiHomogeneityReport | None:
             if report.ok:
                 return report
     return None
-
-
-def is_A_partition(C, a: Element, A) -> bool:
-    """Whether C cuts a compatibly with the marker set A: C holds the
-    infinities and sigma_a's A-points, and meets every gap of a that A
-    meets."""
-    C, A = set(C), set(A)
-    if not C <= A | {NEG_INF, POS_INF}:
-        raise InputError("cut set not contained in the marker set")
-    if not {NEG_INF, POS_INF} <= C:
-        return False
-    sig = algebra.sigma_of(a)
-    if not (set(sig.vec_sigma) & A) <= C:
-        return False
-    vec = sig.vec_sigma
-    for ell in range(sig.n_a - 1):
-        gap_a = {x for x in A if vec[ell] < x < vec[ell + 1]}
-        if gap_a and not any(vec[ell] < c < vec[ell + 1] for c in C):
-            return False
-    return True
 
 
 def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=None):
@@ -274,20 +254,31 @@ def _groups(sigmas) -> list:
 def _greedy_nested(sigmas, group, start: int) -> tuple:
     """Members of group from position start on, each taken when it nests
     in every one taken before it, with the witnesses: one {(i, j): ell}
-    dict per coordinate over positions i < j in the selection."""
-    chosen = [group[start]]
-    ell = tuple({} for _ in sigmas[group[start]])
+    dict per coordinate over positions i < j in the selection.
+
+    nesting_gap's rule, applied to the whole selection at once: per
+    coordinate, chain holds the finite endpoints of every member taken, and
+    none of them lies in beta's [lo, hi] when as many lie below lo
+    (bisect_left) as at or below hi (bisect_right), member by member; that
+    row of counts is the ells.  The group shares one shape, so a beta
+    without finite endpoints meets chains of empty tuples: a row of 0s."""
+    first = group[start]
+    chosen = [first]
+    chains = [[sig.vec_sigma[1:-1]] for sig in sigmas[first]]
+    ell = tuple({} for _ in chains)
     for beta in group[start + 1 :]:
         rows = []
-        for zeta, sig in enumerate(sigmas[beta]):
-            row = [nesting_gap(sigmas[a][zeta].vec_sigma, sig.span) for a in chosen]
-            if None in row:
+        for chain, sig in zip(chains, sigmas[beta]):
+            lo, hi = sig.span or (0, 0)
+            row = list(map(bisect_left, chain, itertools.repeat(lo)))
+            if row != list(map(bisect_right, chain, itertools.repeat(hi))):
                 break
             rows.append(row)
         else:  # beta nests in every chosen member, in every coordinate
             keys = [(i, len(chosen)) for i in range(len(chosen))]
-            for d, row in zip(ell, rows):
+            for d, row, chain, sig in zip(ell, rows, chains, sigmas[beta]):
                 d.update(zip(keys, row))
+                chain.append(sig.vec_sigma[1:-1])
             chosen.append(beta)
     return chosen, ell
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from . import algebra, homogeneity, terms
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .homogeneity import EllMatrix
 from .product import Family, vanishes
 
@@ -33,6 +33,10 @@ MODE_TERMS = {
 
 INSIDE = "inside"
 OUTSIDE = "outside"
+
+# candidates find_sextuple may enumerate before it raises CapacityError;
+# the most any test, benchmark task or campaign family needs is 27,171
+MAX_SEXTUPLE_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,45 @@ def _sextuple_evidence(fam, matrix, idx, mode):
     return tuple(per_coordinate)
 
 
+def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
+    """decide(idx): whether term vanishes on the six members idx of the
+    homogeneous family whose ell dicts are per_coordinate.
+
+    Per coordinate it remembers whether the term was empty for the 15 ells
+    of idx's pairs, which decide it (find_sextuple gives the argument): a
+    coordinate is evaluated the first time its ells appear, and a candidate
+    whose ells somewhere already left the term non-empty is rejected
+    without evaluation.  A candidate it accepts has had every coordinate
+    evaluated directly, each once.
+    """
+    members, order_sizes = fam.members, fam.order_sizes
+    coordinates = [(zeta, d, {}) for zeta, d in enumerate(per_coordinate)]
+
+    def empty_at(zeta, idx):
+        values = [members[i][zeta] for i in idx]
+        return terms.evaluate(term, values, order_size=order_sizes[zeta]).is_empty()
+
+    def decide(idx):
+        pairs = list(itertools.combinations(idx, 2))
+        unknown, known_empty = [], []
+        for zeta, d, empty_by_ells in coordinates:
+            ells = tuple(map(d.__getitem__, pairs))
+            empty = empty_by_ells.get(ells)
+            if empty is None:
+                unknown.append((zeta, ells, empty_by_ells))
+            elif empty:
+                known_empty.append(zeta)
+            else:
+                return False
+        for zeta, ells, empty_by_ells in unknown:
+            empty = empty_by_ells[ells] = empty_at(zeta, idx)
+            if not empty:
+                return False
+        return all(empty_at(zeta, idx) for zeta in known_empty)
+
+    return decide
+
+
 def find_sextuple(
     fam: Family, mode: str = "short", matrix: EllMatrix | None = None
 ) -> Certificate | None:
@@ -156,6 +199,27 @@ def find_sextuple(
     lexicographic order as a nest over all index tuples
     (tests/sextuple_oracle.py), and each is only accepted after
     coordinatewise evaluation confirms the mode's term is zero on it.
+
+    Most symmetric-mode candidates fail, and most of them are decided
+    without evaluation.  In a homogeneous coordinate, member j > i lies
+    inside gap ell(i, j) of member i, so the 15 pairwise ells of a
+    candidate fix how every finite endpoint of its six members interleaves;
+    the members share one shape, so each cell between consecutive endpoints
+    lies in the same members whatever the endpoints' values, and every cell
+    holds a point.  Whether the term is empty in that coordinate therefore
+    depends on the 15 ells alone: the search evaluates a coordinate the
+    first time its ells appear and skips a candidate whose ells in some
+    coordinate already left the term non-empty (_order_type_decider).
+
+    Short mode never fails on a candidate.  In each coordinate a1 and a2
+    lie in gap ell of a0, and a4 and a5 in gap ell of a3, and the shared
+    shape puts both gaps on the same side of their members.  Outside its
+    gap a1 agrees with a2, and a4 with a5.  So x0*x1*-x2 is empty in that
+    coordinate when the gap lies outside a0, and -x3*x4*-x5 when it lies
+    inside a3: the first candidate enumerated is the certificate.
+
+    The nest charges each a3 for the (a4, a5) pairs of its bucket, and past
+    MAX_SEXTUPLE_CANDIDATES in all it raises CapacityError.
     """
     if mode not in ("short", "symmetric"):
         raise InputError(f"unknown sextuple mode {mode!r}")
@@ -163,6 +227,7 @@ def find_sextuple(
         matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
+    decide = _order_type_decider(fam, matrix.per_coordinate, term)
     symmetric = mode == "symmetric"
     ids = matrix.ids
     buckets = []  # buckets[a][v]: the betas > a with id v, increasing
@@ -176,6 +241,7 @@ def find_sextuple(
             if len(betas) >= 2:
                 anchors.setdefault(v, []).append(a)
 
+    budget = MAX_SEXTUPLE_CANDIDATES
     for a0 in range(n - 5):
         row0, buckets0 = ids[a0], buckets[a0]
         for a1 in range(a0 + 1, n - 4):
@@ -185,22 +251,26 @@ def find_sextuple(
                 w = ids[a1][a2] if symmetric else None
                 for a3 in pair_anchors[bisect_right(pair_anchors, a2) :]:
                     tails = buckets[a3][v]
+                    budget -= len(tails) * (len(tails) - 1) // 2
+                    if budget < 0:
+                        raise CapacityError(
+                            f"{mode}-mode sextuple search exceeds "
+                            f"{MAX_SEXTUPLE_CANDIDATES} candidates"
+                        )
                     for i, a4 in enumerate(tails):
                         row4 = ids[a4]
                         for a5 in tails[i + 1 :]:
                             if symmetric and row4[a5] != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
-                            if vanishes(term, fam, idx):
+                            if decide(idx):
                                 return Certificate(
                                     idx,
                                     term,
                                     mode,
                                     _sextuple_evidence(fam, matrix, idx, mode),
                                 )
-                            log.debug(
-                                "%s-mode pattern %s failed evaluation", mode, idx
-                            )
+                            log.debug("%s-mode candidate %s does not vanish", mode, idx)
     return None
 
 

@@ -267,6 +267,19 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(out)["term"] == "(x0^x1)*(x2^x3)"
 
+    def test_sextuple_over_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        from intalg import search
+
+        path, _ = nested_family_file(tmp_path, n=9)
+        monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", 0)
+        code, out, err = run(capsys, "search", "sextuple-sym", "--family", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": "symmetric-mode sextuple search exceeds 0 candidates",
+        }
+
     def test_exhausted(self, capsys, tmp_path):
         path, _ = nested_family_file(tmp_path, n=4)
         code, out, _ = run(capsys, "search", "sextuple", "--family", str(path))

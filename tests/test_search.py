@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from intalg import algebra, homogeneity, product, search, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
 from intalg.cli import gen_random_family
-from intalg.errors import InputError
+from intalg.errors import CapacityError, InputError
 from intalg.homogeneity import EllMatrix, extract_semi_homogeneous, gen_homogeneous
 from intalg.product import Family, is_zero, prod_eval
 from intalg.search import (
     INSIDE,
+    MODE_TERMS,
     OUTSIDE,
     TERM_QUAD,
     TERM_SHORT,
@@ -31,6 +32,7 @@ from intalg.search import (
 )
 
 from .conftest import random_element
+from .homogeneity_oracle import pairwise_greedy_nested
 from .pointset_oracle import oracle_gap_side
 from .sextuple_oracle import naive_find_sextuple
 
@@ -246,27 +248,69 @@ class TestSextupleIndexAgainstNaive:
         assert (got and got.to_dict()) == (want and want.to_dict()), mode
         return got
 
+    @classmethod
+    def hypothesis_family(cls, seed, kappa, n, k, gap):
+        if gap == "laminar":
+            return cls.laminar_family(random.Random(seed), kappa, n)
+        choices = {
+            "free": None,
+            "constant": [k - 2] * n,
+            "two-gaps": [(seed >> i) % min(2, k - 1) for i in range(n)],
+        }[gap]
+        return nested_family(seed, kappa, (k - 2) * n + 4, n, k, choices)
+
+    @staticmethod
+    def record_decisions(monkeypatch):
+        """Patch find_sextuple's order-type decider to log, per candidate,
+        (idx, verdict, evaluations it made); returns the log."""
+        decisions, evaluations = [], []
+        make_decider, evaluate = search._order_type_decider, terms.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        def recording(fam, per_coordinate, term):
+            decide = make_decider(fam, per_coordinate, term)
+
+            def wrapped(idx):
+                before = len(evaluations)
+                verdict = decide(idx)
+                decisions.append((idx, verdict, len(evaluations) - before))
+                return verdict
+
+            return wrapped
+
+        monkeypatch.setattr(terms, "evaluate", counting_evaluate)
+        monkeypatch.setattr(search, "_order_type_decider", recording)
+        return decisions
+
+    def assert_decisions_match_evaluation(self, decisions, fam, mode):
+        for idx, verdict, _ in decisions:
+            assert verdict == product.vanishes(MODE_TERMS[mode], fam, idx), idx
+        if mode == "short":  # the docstring's argument: short mode never fails
+            assert all(verdict for _, verdict, _ in decisions)
+
     def test_seeded_differential(self, monkeypatch):
-        failed_evals = []
-        vanishes = search.vanishes
-
-        def counting(term, fam, idx):
-            ok = vanishes(term, fam, idx)
-            if not ok:
-                failed_evals.append(idx)
-            return ok
-
-        monkeypatch.setattr(search, "vanishes", counting)
+        decisions = self.record_decisions(monkeypatch)
         rng = random.Random(2024)
         outcomes = set()
+        skipped = evaluated = 0
         for seed in range(300):
             fam = self.small_family(rng, seed)
             for mode in ("short", "symmetric"):
-                failed_evals.clear()
+                decisions.clear()
                 cert = self.same(fam, mode)
                 if cert is not None:
                     assert_certificate_sound(cert, fam)
-                outcomes.add((mode, cert is not None, bool(failed_evals)))
+                # every candidate's verdict, by order type or by evaluation
+                self.assert_decisions_match_evaluation(decisions, fam, mode)
+                skipped += sum(not v and not e for _, v, e in decisions)
+                evaluated += sum(e > 0 for _, _, e in decisions)
+                # a candidate the order-type dict skips counts as failed,
+                # like one that fails evaluation
+                failed = [idx for idx, verdict, _ in decisions if not verdict]
+                outcomes.add((mode, cert is not None, bool(failed)))
         # the seeds reach hits, exhausted searches, and index-matched
         # candidates that fail evaluation both before a hit and on the way
         # to exhausting
@@ -277,6 +321,8 @@ class TestSextupleIndexAgainstNaive:
             ("symmetric", True, True),
             ("symmetric", False, True),
         } <= outcomes
+        # most rejections are decided by order type alone
+        assert skipped > evaluated > 0
 
     @given(
         seed=st.integers(0, 10**6),
@@ -287,17 +333,26 @@ class TestSextupleIndexAgainstNaive:
     )
     @settings(max_examples=100, deadline=None)
     def test_hypothesis_differential(self, seed, kappa, n, k, gap):
-        if gap == "laminar":
-            fam = self.laminar_family(random.Random(seed), kappa, n)
-        else:
-            choices = {
-                "free": None,
-                "constant": [k - 2] * n,
-                "two-gaps": [(seed >> i) % min(2, k - 1) for i in range(n)],
-            }[gap]
-            fam = nested_family(seed, kappa, (k - 2) * n + 4, n, k, choices)
+        fam = self.hypothesis_family(seed, kappa, n, k, gap)
         for mode in ("short", "symmetric"):
             self.same(fam, mode)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        kappa=st.integers(1, 3),
+        n=st.integers(6, 14),
+        k=st.integers(2, 5),
+        gap=st.sampled_from(["free", "constant", "two-gaps", "laminar"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_order_type_decisions(self, seed, kappa, n, k, gap):
+        fam = self.hypothesis_family(seed, kappa, n, k, gap)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            decisions = self.record_decisions(monkeypatch)
+            for mode in ("short", "symmetric"):
+                decisions.clear()
+                find_sextuple(fam, mode)
+                self.assert_decisions_match_evaluation(decisions, fam, mode)
 
     @pytest.mark.parametrize(
         "mode, indices",
@@ -310,6 +365,46 @@ class TestSextupleIndexAgainstNaive:
         cert = find_sextuple(fam, mode)
         assert cert is not None and cert.indices == indices
         assert_certificate_sound(cert, fam)
+
+
+class TestSextupleBudget:
+    @pytest.mark.parametrize(
+        "args, least", [((5, 2, 300, 30, 4), 5065), ((6, 3, 400, 40, 6), 17482)]
+    )
+    def test_least_sufficient_budget_is_exact(self, monkeypatch, args, least):
+        # the nest charges candidates deterministically: budget b finishes
+        # the search with the uncapped answer (a hit, then an exhausted
+        # search), and b - 1 raises
+        fam = nested_family(*args)
+        want = find_sextuple(fam, "symmetric")
+
+        def search_with(budget):
+            monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", budget)
+            try:
+                return find_sextuple(fam, "symmetric")
+            except CapacityError as exc:
+                assert str(exc) == (
+                    f"symmetric-mode sextuple search exceeds {budget} candidates"
+                )
+                return "capped"
+
+        lo, hi = 0, search.MAX_SEXTUPLE_CANDIDATES
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if search_with(mid) == "capped":
+                lo = mid + 1
+            else:
+                hi = mid
+        assert lo == least
+        assert search_with(lo) == want
+        assert search_with(lo - 1) == "capped"
+
+    def test_no_candidates_charge_nothing(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", 0)
+        for mode in ("short", "symmetric"):
+            assert find_sextuple(nested_family(4, 2, 64, 5, 4), mode) is None
+        with pytest.raises(CapacityError):
+            find_sextuple(nested_family(8, 1, 64, 9, 4, [1] * 9), "short")
 
 
 class TestRamseyQuad:
@@ -653,3 +748,18 @@ def test_extraction_witnesses_index_like_ell_matrix():
     assert strategies["greedy-nesting"] >= 50
     assert strategies["partitioning-set"] >= 50
     assert cuts[1] and cuts[2] and cuts[3]
+
+
+def test_greedy_chain_matches_pairwise_oracle():
+    """_greedy_nested's whole-chain bisect rows select the members, and
+    record the witnesses, that one nesting_gap call per pair does, for
+    every group and start extraction could try."""
+    starts = 0
+    for fam in differential_families():
+        sigmas = [[algebra.sigma_of(a) for a in member] for member in fam.members]
+        for group in homogeneity._groups(sigmas):
+            for start in range(len(group)):
+                got = homogeneity._greedy_nested(sigmas, group, start)
+                assert got == pairwise_greedy_nested(sigmas, group, start)
+                starts += 1
+    assert starts > 1000
