@@ -165,9 +165,11 @@ def _cmd_homog_check(args) -> int:
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
         entry = {"zeta": zeta, "homogeneous": report.ok}
         if report.ok:
-            entry["ell"] = [
-                [alpha, beta, ell] for (alpha, beta), ell in sorted(report.ell.items())
-            ]
+            entry["ell"] = sorted(
+                [alpha, beta, ell]
+                for beta, row in enumerate(report.ell)
+                for alpha, ell in enumerate(row)
+            )
         else:
             entry["violation"] = {
                 "clause": report.violation.clause,

@@ -38,8 +38,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class HomogeneityReport:
+    """ell[beta][alpha], for alpha < beta, is the least gap of member alpha
+    holding member beta: one row per member, None unless ok."""
+
     ok: bool
-    ell: dict | None  # (alpha, beta) -> least valid gap index
+    ell: list | None
     violation: Violation | None = None
 
 
@@ -47,46 +50,39 @@ class HomogeneityReport:
 class SemiHomogeneityReport:
     ok: bool
     cuts: tuple
-    segments: tuple  # one HomogeneityReport per window [cuts[m], cuts[m+1])
+    segments: tuple  # per window [cuts[m], cuts[m+1]), up to the first failing one
 
 
 @dataclass(frozen=True)
 class EllMatrix:
     """Nesting witnesses for a per-coordinate homogeneous family.
 
-    The gap vectors are indexed by small int ids, equal ids for equal
-    vectors: ids[alpha][beta], for beta > alpha, is the id of
-    ell_vec(alpha, beta), and distinct_vectors is the number of ids.
+    per_coordinate holds each coordinate's ell rows, in
+    HomogeneityReport.ell's layout; vectors[beta][alpha], for alpha < beta,
+    is the gap vector ell_vec(alpha, beta) across coordinates, and
+    distinct_vectors the number of different vectors.
     """
 
-    per_coordinate: tuple  # one {(alpha, beta): ell} dict per coordinate
-    ids: tuple  # one list per anchor alpha, None at indices <= alpha
+    per_coordinate: tuple  # one list of ell rows per coordinate
+    vectors: tuple  # one list of gap vectors per member beta
     distinct_vectors: int
 
     @classmethod
     def index(cls, per_coordinate, n: int) -> "EllMatrix":
         """The matrix of n members whose coordinates have the given ell
-        dicts, each holding every pair (alpha, beta), alpha < beta < n; the
-        dicts are taken as proven, not checked."""
+        rows, each holding every pair alpha < beta < n; the rows are taken
+        as proven, not checked."""
         per_coordinate = tuple(per_coordinate)
-        # a pair iterator per coordinate, not one list of the n^2/2 pairs,
-        # so that no pair tuple outlives its lookups
-        columns = [
-            map(d.__getitem__, itertools.combinations(range(n), 2))
-            for d in per_coordinate
-        ]
-        vecs = zip(*columns) if columns else [()] * (n * (n - 1) // 2)
-        vec_ids = {}
-        # ids in pair order, alpha-major: row alpha takes the next n - alpha - 1
-        flat = iter([vec_ids.setdefault(v, len(vec_ids)) for v in vecs])
-        ids = tuple(
-            [None] * (alpha + 1) + list(itertools.islice(flat, n - alpha - 1))
-            for alpha in range(n)
+        vectors = tuple(
+            list(zip(*[rows[beta] for rows in per_coordinate]))
+            if per_coordinate
+            else [()] * beta
+            for beta in range(n)
         )
-        return cls(per_coordinate, ids, len(vec_ids))
+        return cls(per_coordinate, vectors, len(set().union(*vectors)))
 
     def ell_vec(self, alpha: int, beta: int) -> tuple:
-        return tuple(d[(alpha, beta)] for d in self.per_coordinate)
+        return self.vectors[beta][alpha]
 
 
 def nesting_gap(vec_alpha: tuple, span) -> int | None:
@@ -114,13 +110,14 @@ def check_homogeneous(seq) -> HomogeneityReport:
         if sig.shape != sigmas[0].shape:
             detail = "infinite-endpoint patterns differ"
             return HomogeneityReport(False, None, Violation(2, (0, i), detail))
-    ell = {}
+    ell = [[] for _ in sigmas]
+    # alpha-major, so that a violation names the least failing pair
     for alpha, beta in itertools.combinations(range(len(sigmas)), 2):
         gap = nesting_gap(sigmas[alpha].vec_sigma, sigmas[beta].span)
         if gap is None:
             detail = "no single gap contains the later endpoints"
             return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
-        ell[(alpha, beta)] = gap
+        ell[beta].append(gap)
     return HomogeneityReport(True, ell)
 
 
@@ -137,11 +134,12 @@ def _validate_cuts(cuts) -> tuple:
 def check_semi_homogeneous(seq, cuts) -> SemiHomogeneityReport:
     seq = list(seq)
     cuts = _validate_cuts(cuts)
-    segments = tuple(
-        check_homogeneous([algebra.restrict(a, lo, hi) for a in seq])
-        for lo, hi in zip(cuts, cuts[1:])
-    )
-    return SemiHomogeneityReport(all(r.ok for r in segments), cuts, segments)
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        segments.append(check_homogeneous([algebra.restrict(a, lo, hi) for a in seq]))
+        if not segments[-1].ok:
+            break
+    return SemiHomogeneityReport(segments[-1].ok, cuts, tuple(segments))
 
 
 def find_partitioning_set(seq) -> SemiHomogeneityReport | None:
@@ -233,9 +231,10 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
 class ExtractionResult:
     """The selected members (increasing indices into the family), one cut
     tuple per coordinate, and the nesting witnesses extraction proved on
-    the way: one {(alpha, beta): ell} dict per flattened coordinate, that
-    is per (coordinate, segment) in search.flatten's order, keyed by
-    positions in `indices`.  Like `log`, `ell` takes no part in equality."""
+    the way: the ell rows (HomogeneityReport.ell's layout) of each
+    flattened coordinate, that is of each (coordinate, segment) in
+    search.flatten's order, over positions in `indices`.  Like `log`,
+    `ell` takes no part in equality."""
 
     indices: tuple
     parts: tuple  # one cut tuple per coordinate
@@ -253,8 +252,9 @@ def _groups(sigmas) -> list:
 
 def _greedy_nested(sigmas, group, start: int) -> tuple:
     """Members of group from position start on, each taken when it nests
-    in every one taken before it, with the witnesses: one {(i, j): ell}
-    dict per coordinate over positions i < j in the selection.
+    in every one taken before it, with the witnesses: per coordinate, the
+    ell rows (HomogeneityReport.ell's layout) over positions in the
+    selection.
 
     nesting_gap's rule, applied to the whole selection at once: per
     coordinate, chain holds the finite endpoints of every member taken, and
@@ -265,7 +265,7 @@ def _greedy_nested(sigmas, group, start: int) -> tuple:
     first = group[start]
     chosen = [first]
     chains = [[sig.vec_sigma[1:-1]] for sig in sigmas[first]]
-    ell = tuple({} for _ in chains)
+    ell = tuple([[]] for _ in chains)
     for beta in group[start + 1 :]:
         rows = []
         for chain, sig in zip(chains, sigmas[beta]):
@@ -275,9 +275,8 @@ def _greedy_nested(sigmas, group, start: int) -> tuple:
                 break
             rows.append(row)
         else:  # beta nests in every chosen member, in every coordinate
-            keys = [(i, len(chosen)) for i in range(len(chosen))]
-            for d, row, chain, sig in zip(ell, rows, chains, sigmas[beta]):
-                d.update(zip(keys, row))
+            for ell_rows, row, chain, sig in zip(ell, rows, chains, sigmas[beta]):
+                ell_rows.append(row)
                 chain.append(sig.vec_sigma[1:-1])
             chosen.append(beta)
     return chosen, ell
@@ -303,7 +302,7 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
         return ExtractionResult(
             (),
             _trivial_parts(fam.kappa),
-            tuple({} for _ in range(fam.kappa)),
+            tuple([] for _ in range(fam.kappa)),
             {"strategy": "empty"},
         )
     # sigmas[alpha][zeta], computed once for grouping and greedy nesting

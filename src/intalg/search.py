@@ -74,8 +74,8 @@ class Certificate:
 
 
 def _checked_ell(fam: Family) -> list:
-    """One {(alpha, beta): ell} dict per coordinate, each checked first:
-    InputError names the first coordinate that is not homogeneous."""
+    """The ell rows of each coordinate, each checked first: InputError
+    names the first coordinate that is not homogeneous."""
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -88,8 +88,8 @@ def _checked_ell(fam: Family) -> list:
 
 
 def ell_matrix(fam: Family) -> EllMatrix:
-    """Nesting-gap witnesses for every pair, bundled over coordinates,
-    with their gap vectors indexed by id."""
+    """Nesting-gap witnesses for every pair, bundled over coordinates
+    into gap vectors."""
     return EllMatrix.index(_checked_ell(fam), len(fam))
 
 
@@ -132,10 +132,10 @@ def _sextuple_evidence(fam, matrix, idx, mode):
     alpha0 = idx[0]
     per_coordinate = []
     for zeta in range(fam.kappa):
-        d = matrix.per_coordinate[zeta]
-        ells = [d[(idx[0], idx[1])]]
+        rows = matrix.per_coordinate[zeta]
+        ells = [rows[idx[1]][idx[0]]]
         if mode == "symmetric":
-            ells.append(d[(idx[1], idx[2])])
+            ells.append(rows[idx[2]][idx[1]])
         per_coordinate.append(
             CoordinateEvidence(
                 zeta, True, tuple(ells), gap_side(fam, zeta, alpha0, ells[0])
@@ -146,7 +146,7 @@ def _sextuple_evidence(fam, matrix, idx, mode):
 
 def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
     """decide(idx): whether term vanishes on the six members idx of the
-    homogeneous family whose ell dicts are per_coordinate.
+    homogeneous family whose ell rows are per_coordinate.
 
     Per coordinate it remembers whether the term was empty for the 15 ells
     of idx's pairs, which decide it (find_sextuple gives the argument): a
@@ -156,7 +156,7 @@ def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
     evaluated directly, each once.
     """
     members, order_sizes = fam.members, fam.order_sizes
-    coordinates = [(zeta, d, {}) for zeta, d in enumerate(per_coordinate)]
+    coordinates = [(zeta, rows, {}) for zeta, rows in enumerate(per_coordinate)]
 
     def empty_at(zeta, idx):
         values = [members[i][zeta] for i in idx]
@@ -165,8 +165,8 @@ def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
     def decide(idx):
         pairs = list(itertools.combinations(idx, 2))
         unknown, known_empty = [], []
-        for zeta, d, empty_by_ells in coordinates:
-            ells = tuple(map(d.__getitem__, pairs))
+        for zeta, rows, empty_by_ells in coordinates:
+            ells = tuple([rows[b][a] for a, b in pairs])
             empty = empty_by_ells.get(ells)
             if empty is None:
                 unknown.append((zeta, ells, empty_by_ells))
@@ -191,12 +191,12 @@ def find_sextuple(
     Short mode wants the gap vector v of (a0,a1), (a0,a2), (a3,a4) and
     (a3,a5) to agree; symmetric mode additionally matches (a1,a2) with
     (a4,a5).  Only candidates that can match are enumerated: one pass over
-    the gap-vector ids of the family's ell matrix (built here unless the
-    caller passes it) buckets each anchor's successors by id and lists,
-    per id, the anchors whose bucket holds two members.  a2 runs over a0's
-    bucket for v past a1, a3 over the anchors for v past a2, and (a4, a5)
-    over the pairs in a3's bucket.  The candidates come in the same
-    lexicographic order as a nest over all index tuples
+    the gap vectors of the family's ell matrix (built here unless the
+    caller passes it) buckets each anchor's successors by vector and
+    lists, per vector, the anchors whose bucket holds two members.  a2
+    runs over a0's bucket for v past a1, a3 over the anchors for v past
+    a2, and (a4, a5) over the pairs in a3's bucket.  The candidates come
+    in the same lexicographic order as a nest over all index tuples
     (tests/sextuple_oracle.py), and each is only accepted after
     coordinatewise evaluation confirms the mode's term is zero on it.
 
@@ -229,26 +229,26 @@ def find_sextuple(
     term = MODE_TERMS[mode]
     decide = _order_type_decider(fam, matrix.per_coordinate, term)
     symmetric = mode == "symmetric"
-    ids = matrix.ids
-    buckets = []  # buckets[a][v]: the betas > a with id v, increasing
+    vectors = matrix.vectors
+    # buckets[a][v]: the betas > a with vector v, increasing
+    buckets = [{} for _ in range(n)]
+    for beta, row in enumerate(vectors):
+        for bucket, v in zip(buckets, row):
+            bucket.setdefault(v, []).append(beta)
     anchors = {}  # v -> the anchors whose bucket for v holds a pair
-    for a, row in enumerate(ids):
-        bucket = {}
-        for beta in range(a + 1, n):
-            bucket.setdefault(row[beta], []).append(beta)
-        buckets.append(bucket)
+    for a, bucket in enumerate(buckets):
         for v, betas in bucket.items():
             if len(betas) >= 2:
                 anchors.setdefault(v, []).append(a)
 
     budget = MAX_SEXTUPLE_CANDIDATES
     for a0 in range(n - 5):
-        row0, buckets0 = ids[a0], buckets[a0]
+        buckets0 = buckets[a0]
         for a1 in range(a0 + 1, n - 4):
-            v = row0[a1]
+            v = vectors[a1][a0]
             peers, pair_anchors = buckets0[v], anchors.get(v, [])
             for a2 in peers[bisect_right(peers, a1) :]:
-                w = ids[a1][a2] if symmetric else None
+                w = vectors[a2][a1] if symmetric else None
                 for a3 in pair_anchors[bisect_right(pair_anchors, a2) :]:
                     tails = buckets[a3][v]
                     budget -= len(tails) * (len(tails) - 1) // 2
@@ -258,9 +258,8 @@ def find_sextuple(
                             f"{MAX_SEXTUPLE_CANDIDATES} candidates"
                         )
                     for i, a4 in enumerate(tails):
-                        row4 = ids[a4]
                         for a5 in tails[i + 1 :]:
-                            if symmetric and row4[a5] != w:
+                            if symmetric and vectors[a5][a4] != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if decide(idx):
@@ -312,29 +311,23 @@ def ramsey_quad(n: int, colors):
 
 
 def _quadruple_evidence(fam, ells, idx):
-    per_coordinate = []
-    for zeta, d in enumerate(ells):
-        ell = d.get((idx[0], idx[2]))
-        side = (
-            gap_side(fam, zeta, idx[0], ell) if ell is not None else None
-        )
-        per_coordinate.append(
-            CoordinateEvidence(zeta, True, (ell,) if ell is not None else (), side)
-        )
-    return tuple(per_coordinate)
+    return tuple(
+        CoordinateEvidence(zeta, True, (ell,), gap_side(fam, zeta, idx[0], ell))
+        for zeta, ell in enumerate(rows[idx[2]][idx[0]] for rows in ells)
+    )
 
 
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
-    The pair coloring by gap vectors, read from the checked ell dicts as
+    The pair coloring by gap vectors, read from the checked ell rows as
     ramsey_quad reaches each row, is only a search heuristic: a pattern hit
     is accepted solely on evaluation, and exhaustive search over all
     quadruples is the fallback.
     """
     ells = _checked_ell(fam)
     n = len(fam)
-    idx = ramsey_quad(n, lambda i, j: tuple([d[i, j] for d in ells]))
+    idx = ramsey_quad(n, lambda i, j: tuple([rows[j][i] for rows in ells]))
     if idx is not None:
         if vanishes(TERM_QUAD, fam, idx):
             return Certificate(

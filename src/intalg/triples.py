@@ -33,7 +33,7 @@ MAX_SWEEP_SIGMA = 6
 class TripleClassification:
     vanishing: frozenset  # positions into TRIPLE_TERMS, nonempty
     case_tag: str
-    ell: dict
+    ell: list  # the triple's HomogeneityReport.ell rows
 
 
 def _case_tag(ell_12: int, n: int) -> str:
@@ -63,7 +63,7 @@ def classify_triple(a0, a1, a2) -> TripleClassification:
         )
     n = algebra.sigma_of(a0).n_a
     return TripleClassification(
-        vanishing, _case_tag(report.ell[(1, 2)], n), dict(report.ell)
+        vanishing, _case_tag(report.ell[2][1], n), report.ell
     )
 
 

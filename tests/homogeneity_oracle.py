@@ -34,7 +34,7 @@ def pairwise_greedy_nested(sigmas, group, start):
     testing each candidate against every chosen member with one
     nesting_gap call per pair and coordinate."""
     chosen = [group[start]]
-    ell = tuple({} for _ in sigmas[group[start]])
+    ell = tuple([[]] for _ in sigmas[group[start]])
     for beta in group[start + 1 :]:
         rows = []
         for zeta, sig in enumerate(sigmas[beta]):
@@ -43,8 +43,7 @@ def pairwise_greedy_nested(sigmas, group, start):
                 break
             rows.append(row)
         else:  # beta nests in every chosen member, in every coordinate
-            keys = [(i, len(chosen)) for i in range(len(chosen))]
-            for d, row in zip(ell, rows):
-                d.update(zip(keys, row))
+            for ell_rows, row in zip(ell, rows):
+                ell_rows.append(row)
             chosen.append(beta)
     return chosen, ell

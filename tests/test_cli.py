@@ -144,12 +144,24 @@ class TestIndependent:
 
 class TestHomog:
     def test_check_ok(self, capsys, tmp_path):
-        path, _ = nested_family_file(tmp_path)
+        # free gap choices, so that the ells differ between pairs
+        seq = homogeneity.gen_homogeneous(7, 64, 9, 5)
+        fam = Family.from_columns((64,), [seq])
+        path = tmp_path / "family.json"
+        write_family(path, fam)
         code, out, _ = run(capsys, "homog", "check", "--family", str(path))
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["homogeneous"] is True
-        assert report["coordinates"][0]["ell"]
+        # every pair once, in (alpha, beta) order, with its nesting gap
+        sigmas = [algebra.sigma_of(a) for a in seq]
+        gap = homogeneity.nesting_gap
+        want = [
+            [alpha, beta, gap(sigmas[alpha].vec_sigma, sigmas[beta].span)]
+            for alpha, beta in itertools.combinations(range(len(seq)), 2)
+        ]
+        assert report["coordinates"][0]["ell"] == want
+        assert len({ell for _, _, ell in want}) > 1
 
     def test_check_violation(self, capsys, tmp_path):
         fam = Family(

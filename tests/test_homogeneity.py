@@ -34,14 +34,15 @@ class TestCheckHomogeneous:
     def test_vacuous(self):
         assert check_homogeneous([]).ok
         assert check_homogeneous([Element(5, (1, 3))]).ok
-        assert check_homogeneous([]).ell == {}
+        assert check_homogeneous([]).ell == []
+        assert check_homogeneous([Element(5, (1, 3))]).ell == [[]]
 
     def test_nested_pair(self):
         a0 = Element(9, (1, 8))
         a1 = Element(9, (2, 5))
         report = check_homogeneous([a0, a1])
         assert report.ok
-        assert report.ell == {(0, 1): 1}
+        assert report.ell == [[], [1]]
 
     def test_straddling_pair_fails_clause_3(self):
         a0 = Element(9, (1, 3))
@@ -50,6 +51,16 @@ class TestCheckHomogeneous:
         assert not report.ok
         assert report.violation.clause == 3
         assert report.violation.pair == (0, 1)
+
+    def test_violation_names_least_pair(self):
+        # (1, 2) fails and is the first failure found beta by beta, but
+        # (0, 3) comes first in alpha-major pair order
+        seq = [Element(200, e) for e in [(1, 100), (10, 20), (15, 30), (50, 150)]]
+        report = check_homogeneous(seq)
+        assert not report.ok
+        assert report.violation.clause == 3
+        assert report.violation.pair == (0, 3)
+        assert not check_homogeneous(seq[1:3]).ok
 
     def test_sigma_size_mismatch_fails_clause_1(self):
         report = check_homogeneous([Element(9, (1, 3)), algebra.empty(9)])
@@ -65,7 +76,7 @@ class TestCheckHomogeneous:
         # all-empty members are homogeneous with ell = 0 everywhere
         report = check_homogeneous([algebra.empty(5)] * 3)
         assert report.ok
-        assert set(report.ell.values()) == {0}
+        assert report.ell == [[], [0], [0, 0]]
 
     def test_order_sensitivity(self):
         a0 = Element(9, (2, 5))
@@ -79,9 +90,11 @@ class TestCheckHomogeneous:
             seq = gen_homogeneous(rng.randrange(2**32), 40, 5, 4)
             report = check_homogeneous(seq)
             assert report.ok
-            for (alpha, beta), ell in report.ell.items():
-                vec = algebra.sigma_of(seq[alpha]).vec_sigma
-                assert ell == gap_scan(vec, seq[beta])
+            assert [len(row) for row in report.ell] == list(range(len(seq)))
+            for beta, row in enumerate(report.ell):
+                for alpha, ell in enumerate(row):
+                    vec = algebra.sigma_of(seq[alpha]).vec_sigma
+                    assert ell == gap_scan(vec, seq[beta])
 
     def test_nesting_gap_matches_gap_scan_oracle(self):
         # random pairs, so that nesting also fails (None) and beta may
@@ -118,12 +131,20 @@ class TestSemiHomogeneous:
             assert check_homogeneous(restricted) == seg
 
     def test_crossing_pair_per_segment(self):
+        # the check stops at the first failing window: at cut 2 that is the
+        # first of two windows, at cuts 3, 4 the second of three
         seq = [Element(9, (1, 3)), Element(9, (2, 5))]
-        report = check_semi_homogeneous(seq, (NEG_INF, 2, POS_INF))
-        assert len(report.segments) == 2
-        for (lo, hi), seg in zip(zip(report.cuts, report.cuts[1:]), report.segments):
-            restricted = [algebra.restrict(a, lo, hi) for a in seq]
-            assert seg == check_homogeneous(restricted)
+        for cuts, checked in [
+            ((NEG_INF, 2, POS_INF), 1),
+            ((NEG_INF, 3, 4, POS_INF), 2),
+        ]:
+            report = check_semi_homogeneous(seq, cuts)
+            assert not report.ok
+            oks = [seg.ok for seg in report.segments]
+            assert oks == [True] * (checked - 1) + [False]
+            for (lo, hi), seg in zip(zip(cuts, cuts[1:]), report.segments):
+                restricted = [algebra.restrict(a, lo, hi) for a in seq]
+                assert seg == check_homogeneous(restricted)
 
     def test_malformed_parts(self):
         with pytest.raises(InputError):
@@ -265,8 +286,7 @@ class TestGenHomogeneous:
         seq = gen_homogeneous(5, 64, 5, 4, gap_choices=choices)
         report = check_homogeneous(seq)
         assert report.ok
-        for (alpha, beta), ell in report.ell.items():
-            assert ell == choices[alpha]
+        assert report.ell == [choices[:beta] for beta in range(len(seq))]
 
     def test_gap_pool_and_choices_exclusive(self):
         with pytest.raises(InputError):

@@ -47,8 +47,8 @@ def nested_family(seed, kappa, p, n, k, gap_choices=None):
 
 class TestEllMatrix:
     def test_tiny_families(self):
-        assert ell_matrix(nested_family(0, 1, 16, 0, 4)).per_coordinate == ({},)
-        assert ell_matrix(nested_family(0, 1, 16, 1, 4)).per_coordinate == ({},)
+        assert ell_matrix(nested_family(0, 1, 16, 0, 4)).per_coordinate == ([],)
+        assert ell_matrix(nested_family(0, 1, 16, 1, 4)).per_coordinate == ([[]],)
 
     def test_matches_per_coordinate_checker(self):
         fam = nested_family(1, 2, 32, 5, 4)
@@ -112,18 +112,15 @@ class TestPigeonhole:
             matrix.ell_vec(a, b) for a, b in itertools.combinations(range(n), 2)
         }
         assert state.distinct_values == len(seen)
-        # the gap-vector index: equal ids exactly for equal vectors
         assert matrix.distinct_vectors == len(seen)
-        assert len(matrix.ids) == n
-        vec_of_id = {}
-        for alpha, row in enumerate(matrix.ids):
-            assert row[: alpha + 1] == [None] * (alpha + 1)
-            assert len(row) == n
-            for beta in range(alpha + 1, n):
-                vec = matrix.ell_vec(alpha, beta)
-                assert vec_of_id.setdefault(row[beta], vec) == vec
-        assert len(vec_of_id) == len(seen)
-        assert sorted(vec_of_id) == list(range(len(seen)))
+        # the gap vectors: row beta zips the coordinates' ells of beta
+        assert len(matrix.vectors) == n
+        for beta, row in enumerate(matrix.vectors):
+            assert len(row) == beta
+            for alpha, vec in enumerate(row):
+                assert vec == tuple(
+                    rows[beta][alpha] for rows in matrix.per_coordinate
+                )
 
     def test_required_members(self):
         assert required_members(1, "short") == 6
@@ -512,7 +509,7 @@ class TestFindQuadruple:
             fam = nested_family(rng.randrange(10**6), kappa, 64, n, 5, choices)
             matrix = ell_matrix(fam)
             want = ramsey_quad(n, matrix.ell_vec)
-            assert ramsey_quad(n, lambda i, j: matrix.ids[i][j]) == want
+            assert ramsey_quad(n, lambda i, j: matrix.vectors[j][i]) == want
             if want is None or not is_zero(prod_eval(TERM_QUAD, fam, want)):
                 want = next(
                     (
@@ -529,7 +526,7 @@ class TestFindQuadruple:
         assert hits > 0
 
     def test_builds_no_ell_matrix(self, monkeypatch):
-        # find_quadruple colours pairs by the gap vectors of the ell dicts
+        # find_quadruple colours pairs by the gap vectors of the ell rows
         # it checked; indexing them into an EllMatrix is never needed
         rng = random.Random(32)
         cases = []
@@ -581,7 +578,7 @@ class TestKeyFactGapSide:
                     trio = [
                         fam.members[i][zeta] for i in (alpha, beta, gamma)
                     ]
-                    ell = matrix.per_coordinate[zeta][(alpha, beta)]
+                    ell = matrix.per_coordinate[zeta][beta][alpha]
                     side = gap_side(fam, zeta, alpha, ell)
                     v_in = terms.evaluate(with_x0, trio)
                     v_out = terms.evaluate(without_x0, trio)

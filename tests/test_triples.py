@@ -49,7 +49,7 @@ class TestClassify:
         b1 = Element(20, (8, 16))
         b2 = Element(20, (2, 5))
         c = classify_triple(b0, b1, b2)
-        assert c.ell[(1, 2)] == 0
+        assert c.ell[2][1] == 0
         assert c.case_tag == CASE_BOUNDARY
         assert c.vanishing
 
@@ -67,7 +67,7 @@ class TestClassify:
         a2 = Element(40, (12, 14, 16, 18))
         c = classify_triple(a0, a1, a2)
         n = algebra.sigma_of(a0).n_a
-        ell = c.ell[(1, 2)]
+        ell = c.ell[2][1]
         assert (c.case_tag == CASE_INTERIOR) == (ell != 0 and ell + 1 != n - 1)
 
 
