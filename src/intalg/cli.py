@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(hsub, "extract", _cmd_homog_extract, family)
     p.add_argument("--parts-out")
 
-    p = sub.add_parser("lemma16", help="exhaustive triple verification")
+    p = sub.add_parser("lemma16", help="triple verification by order type")
     lsub = p.add_subparsers(dest="lemma16_command", required=True)
     p = leaf(lsub, "verify", _cmd_lemma16_verify)
     p.add_argument("--max-order", type=int, required=True)

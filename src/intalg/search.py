@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import algebra, homogeneity, terms
 from .errors import CapacityError, InputError
 from .homogeneity import EllMatrix
-from .product import Family, vanishes
+from .product import Family
 
 log = logging.getLogger(__name__)
 
@@ -128,32 +128,34 @@ def required_members(v_count: int, mode: str) -> int:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _sextuple_evidence(fam, matrix, idx, mode):
-    alpha0 = idx[0]
-    per_coordinate = []
-    for zeta in range(fam.kappa):
-        rows = matrix.per_coordinate[zeta]
-        ells = [rows[idx[1]][idx[0]]]
-        if mode == "symmetric":
-            ells.append(rows[idx[2]][idx[1]])
-        per_coordinate.append(
-            CoordinateEvidence(
-                zeta, True, tuple(ells), gap_side(fam, zeta, alpha0, ells[0])
-            )
-        )
-    return tuple(per_coordinate)
+def _evidence(fam, per_coordinate, idx, pairs):
+    """Per coordinate, the ells of the position pairs (a, b) of idx, and
+    the side of member idx[0] on which the first of them lies."""
+    evidence = []
+    for zeta, rows in enumerate(per_coordinate):
+        ells = tuple([rows[idx[b]][idx[a]] for a, b in pairs])
+        side = gap_side(fam, zeta, idx[0], ells[0])
+        evidence.append(CoordinateEvidence(zeta, True, ells, side))
+    return tuple(evidence)
 
 
 def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
-    """decide(idx): whether term vanishes on the six members idx of the
-    homogeneous family whose ell rows are per_coordinate.
+    """decide(idx): whether term vanishes on the members idx, in increasing
+    order, of the homogeneous family whose ell rows are per_coordinate.
 
-    Per coordinate it remembers whether the term was empty for the 15 ells
-    of idx's pairs, which decide it (find_sextuple gives the argument): a
-    coordinate is evaluated the first time its ells appear, and a candidate
-    whose ells somewhere already left the term non-empty is rejected
-    without evaluation.  A candidate it accepts has had every coordinate
-    evaluated directly, each once.
+    The order-type argument: in a homogeneous coordinate, member j > i
+    lies inside gap ell(i, j) of member i, so the pairwise ells of a tuple
+    fix how every finite endpoint of its members interleaves.  The members
+    share one shape, so each cell between consecutive endpoints lies in
+    the same members whatever the endpoints' values, and every cell holds
+    a point.  Whether a term is empty in that coordinate therefore depends
+    on the ells alone.
+
+    So per coordinate it remembers whether the term was empty for the ells
+    of idx's pairs: a coordinate is evaluated the first time its ells
+    appear, and a candidate whose ells somewhere already left the term
+    non-empty is rejected without evaluation.  A candidate it accepts has
+    had every coordinate evaluated directly, each once.
     """
     members, order_sizes = fam.members, fam.order_sizes
     coordinates = [(zeta, rows, {}) for zeta, rows in enumerate(per_coordinate)]
@@ -201,15 +203,9 @@ def find_sextuple(
     coordinatewise evaluation confirms the mode's term is zero on it.
 
     Most symmetric-mode candidates fail, and most of them are decided
-    without evaluation.  In a homogeneous coordinate, member j > i lies
-    inside gap ell(i, j) of member i, so the 15 pairwise ells of a
-    candidate fix how every finite endpoint of its six members interleaves;
-    the members share one shape, so each cell between consecutive endpoints
-    lies in the same members whatever the endpoints' values, and every cell
-    holds a point.  Whether the term is empty in that coordinate therefore
-    depends on the 15 ells alone: the search evaluates a coordinate the
-    first time its ells appear and skips a candidate whose ells in some
-    coordinate already left the term non-empty (_order_type_decider).
+    without evaluation: a coordinate's emptiness depends only on the 15
+    pairwise ells of the candidate (_order_type_decider's order-type
+    argument), so it is evaluated the first time its ells appear.
 
     Short mode never fails on a candidate.  In each coordinate a1 and a2
     lie in gap ell of a0, and a4 and a5 in gap ell of a3, and the shared
@@ -227,8 +223,10 @@ def find_sextuple(
         matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
-    decide = _order_type_decider(fam, matrix.per_coordinate, term)
+    per_coordinate = matrix.per_coordinate
+    decide = _order_type_decider(fam, per_coordinate, term)
     symmetric = mode == "symmetric"
+    pairs = ((0, 1), (1, 2)) if symmetric else ((0, 1),)
     vectors = matrix.vectors
     # buckets[a][v]: the betas > a with vector v, increasing
     buckets = [{} for _ in range(n)]
@@ -263,12 +261,8 @@ def find_sextuple(
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if decide(idx):
-                                return Certificate(
-                                    idx,
-                                    term,
-                                    mode,
-                                    _sextuple_evidence(fam, matrix, idx, mode),
-                                )
+                                evidence = _evidence(fam, per_coordinate, idx, pairs)
+                                return Certificate(idx, term, mode, evidence)
                             log.debug("%s-mode candidate %s does not vanish", mode, idx)
     return None
 
@@ -310,36 +304,29 @@ def ramsey_quad(n: int, colors):
     return None
 
 
-def _quadruple_evidence(fam, ells, idx):
-    return tuple(
-        CoordinateEvidence(zeta, True, (ell,), gap_side(fam, zeta, idx[0], ell))
-        for zeta, ell in enumerate(rows[idx[2]][idx[0]] for rows in ells)
-    )
-
-
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
     The pair coloring by gap vectors, read from the checked ell rows as
     ramsey_quad reaches each row, is only a search heuristic: a pattern hit
-    is accepted solely on evaluation, and exhaustive search over all
-    quadruples is the fallback.
+    is accepted only if the term vanishes on it, and search over all
+    quadruples in lexicographic order is the fallback.  Both are decided by
+    _order_type_decider, so a quadruple whose ells already left the term
+    non-empty in some coordinate is rejected without evaluation.
     """
     ells = _checked_ell(fam)
     n = len(fam)
+    decide = _order_type_decider(fam, ells, TERM_QUAD)
     idx = ramsey_quad(n, lambda i, j: tuple([rows[j][i] for rows in ells]))
-    if idx is not None:
-        if vanishes(TERM_QUAD, fam, idx):
-            return Certificate(
-                idx, TERM_QUAD, "quadruple", _quadruple_evidence(fam, ells, idx)
-            )
+    if idx is not None and not decide(idx):
         log.warning("gap-vector quadruple %s failed evaluation", idx)
-    for quad in itertools.combinations(range(n), 4):
-        if vanishes(TERM_QUAD, fam, quad):
-            return Certificate(
-                quad, TERM_QUAD, "quadruple", _quadruple_evidence(fam, ells, quad)
-            )
-    return None
+        idx = None
+    if idx is None:
+        idx = next(filter(decide, itertools.combinations(range(n), 4)), None)
+    if idx is None:
+        return None
+    evidence = _evidence(fam, ells, idx, ((0, 2),))
+    return Certificate(idx, TERM_QUAD, "quadruple", evidence)
 
 
 @dataclass(frozen=True)

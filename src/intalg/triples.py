@@ -9,10 +9,11 @@ the boundary of the sigma vector.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from . import algebra, homogeneity, terms
+from .algebra import NEG_INF, POS_INF, Element
 from .errors import CapacityError, InputError
 
 TRIPLE_TERMS = (
@@ -25,7 +26,9 @@ TRIPLE_TERMS = (
 CASE_INTERIOR = "interior"  # nesting gap of the last pair is interior
 CASE_BOUNDARY = "boundary"  # nesting gap touches an end of the sigma vector
 
-MAX_SWEEP_ORDER = 8
+# at max_k = 6 the counts then have ~70 digits; far larger orders would pass
+# Python's int->str digit limit when the report is written as JSON
+MAX_SWEEP_ORDER = 10**6
 MAX_SWEEP_SIGMA = 6
 
 
@@ -86,50 +89,55 @@ class SweepReport:
         }
 
 
-def _all_elements(p: int):
-    for bits in range(1 << p):
-        yield algebra.from_point_set(p, [i for i in range(p) if bits >> i & 1])
+def _order_types(m: int, starts: bool):
+    """(triple, ell) for one instance of each order type of homogeneous
+    triples whose members have m finite endpoints and start at -inf when
+    starts: a1's endpoints are a block in gap ell01 of a0, and a2's a block
+    in one of the 2m+1 slots of that merged list.  Each instance sits on
+    the points 1..3m of order 3m+1; ell is its HomogeneityReport.ell."""
+    head, tail = (NEG_INF,) * starts, (POS_INF,) * ((m + starts) % 2)
+    for ell01 in range(m + 1):
+        merged = [0] * ell01 + [1] * m + [0] * (m - ell01)
+        for slot in range(2 * m + 1):
+            labels = merged[:slot] + [2] * m + merged[slot:]
+            finite = [[], [], []]
+            for x, i in enumerate(labels, 1):
+                finite[i].append(x)
+            triple = [Element(3 * m + 1, head + tuple(f) + tail) for f in finite]
+            below = labels[:slot]
+            yield triple, [[], [ell01], [below.count(0), below.count(1)]]
 
 
 def verify_triples(max_p: int, max_k: int) -> SweepReport:
-    """Exhaustively classify every homogeneous triple over orders of size
-    at most max_p with common sigma size at most max_k."""
+    """Classify every homogeneous triple over orders of size at most max_p
+    with common sigma size at most max_k, one order type at a time.
+
+    The vanishing set and the case tag of a triple depend only on its
+    order type (the order-type argument of search._order_type_decider),
+    and a type with m >= 1 finite endpoints per member occurs C(p-1, 3m)
+    times at order size p: once per choice of its 3m points.  Over
+    p <= max_p that sums to C(max_p, 3m+1).  For m = 0 the triples are
+    (e, e, e), e empty on max_p + 1 orders or full on max_p; on the empty
+    order every term vanishes.  A counterexample is reported by its type's
+    instance.
+    """
     if max_p < 0 or max_k < 0:
         raise InputError(f"negative bound: max_p={max_p}, max_k={max_k}")
     if max_p > MAX_SWEEP_ORDER:
         raise CapacityError(f"order cap is {MAX_SWEEP_ORDER}, got {max_p}")
     if max_k > MAX_SWEEP_SIGMA:
         raise CapacityError(f"sigma cap is {MAX_SWEEP_SIGMA}, got {max_k}")
-    total = interior = boundary = 0
+    total = interior = 0
     counterexamples = []
-    for p in range(max_p + 1):
-        groups = {}  # clauses 1 and 2: one group per Sigma shape
-        for a in _all_elements(p):
-            sig = algebra.sigma_of(a)
-            if sig.n_a <= max_k:
-                groups.setdefault(sig.shape, []).append((a, sig))
-        for (n, _, _), group in groups.items():
-            members = [a for a, _ in group]
-            size = len(members)
-            # pairwise nesting gaps; None marks a clause-3 failure
-            gap = [
-                [homogeneity.nesting_gap(si.vec_sigma, sj.span) for _, sj in group]
-                for _, si in group
-            ]
-            for i, j, k in itertools.product(range(size), repeat=3):
-                if gap[i][j] is None or gap[i][k] is None or gap[j][k] is None:
-                    continue
-                total += 1
-                if _case_tag(gap[j][k], n) == CASE_INTERIOR:
-                    interior += 1
-                else:
-                    boundary += 1
-                if not _vanishing(members[i], members[j], members[k]):
-                    counterexamples.append(
-                        (
-                            members[i].endpoints,
-                            members[j].endpoints,
-                            members[k].endpoints,
-                        )
-                    )
-    return SweepReport(total, interior, boundary, tuple(counterexamples))
+    for m in range(max_k - 1):  # |sigma| = m + 2
+        for starts in (False, True):
+            weight = math.comb(max_p, 3 * m + 1) + (m == 0 and not starts)
+            if not weight:
+                continue
+            for triple, ell in _order_types(m, starts):
+                total += weight
+                if _case_tag(ell[2][1], m + 2) == CASE_INTERIOR:
+                    interior += weight
+                if not _vanishing(*triple):
+                    counterexamples.append(tuple(a.endpoints for a in triple))
+    return SweepReport(total, interior, total - interior, tuple(counterexamples))

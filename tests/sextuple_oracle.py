@@ -8,7 +8,7 @@ search.find_sextuple must reproduce.
 
 from intalg.errors import InputError
 from intalg.product import vanishes
-from intalg.search import MODE_TERMS, Certificate, _sextuple_evidence, ell_matrix
+from intalg.search import MODE_TERMS, Certificate, _evidence, ell_matrix
 
 
 def naive_find_sextuple(fam, mode="short"):
@@ -17,6 +17,7 @@ def naive_find_sextuple(fam, mode="short"):
     matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
+    pairs = ((0, 1), (1, 2)) if mode == "symmetric" else ((0, 1),)
 
     def vec(a, b):
         return matrix.ell_vec(a, b)
@@ -43,6 +44,6 @@ def naive_find_sextuple(fam, mode="short"):
                                     idx,
                                     term,
                                     mode,
-                                    _sextuple_evidence(fam, matrix, idx, mode),
+                                    _evidence(fam, matrix.per_coordinate, idx, pairs),
                                 )
     return None

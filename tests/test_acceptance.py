@@ -12,7 +12,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from intalg import algebra, product, search, terms, triples
 from intalg.algebra import NEG_INF, POS_INF
@@ -65,7 +64,6 @@ def test_triple_sweep_exhaustive():
     )
 
 
-@pytest.mark.slow
 def test_triple_sweep_extended():
     rep = triples.verify_triples(7, 5)
     assert rep.counterexamples == ()

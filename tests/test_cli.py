@@ -24,6 +24,9 @@ from intalg.cli import (
 from intalg.errors import CapacityError, InputError
 from intalg.product import Family
 from intalg.terms import MAX_TERM_DEPTH
+from intalg.triples import MAX_SWEEP_ORDER
+
+from .triples_oracle import sweep_triples
 
 # the src/ directory this intalg came from, for fresh interpreters
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -236,10 +239,25 @@ class TestLemma16:
 
     def test_capacity(self, capsys):
         code, _, err = run(
-            capsys, "lemma16", "verify", "--max-order", "9", "--max-k", "3"
+            capsys,
+            "lemma16", "verify", "--max-order", str(MAX_SWEEP_ORDER + 1), "--max-k", "3",
         )
         assert code == EXIT_INPUT_ERROR
         assert json.loads(err)["error"] == "CapacityError"
+
+    def test_past_the_exhaustive_orders(self, capsys):
+        code, out, _ = run(
+            capsys, "lemma16", "verify", "--max-order", "9", "--max-k", "4"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out) == sweep_triples(9, 4).to_dict()
+
+    def test_order_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "lemma16", "verify", "--max-order", "1000000", "--max-k", "6"
+        )
+        assert code == EXIT_OK
+        assert '"counterexamples":[]' in out
 
 
 class TestSearch:

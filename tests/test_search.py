@@ -34,6 +34,7 @@ from intalg.search import (
 from .conftest import random_element
 from .homogeneity_oracle import pairwise_greedy_nested
 from .pointset_oracle import oracle_gap_side
+from .quadruple_oracle import naive_find_quadruple
 from .sextuple_oracle import naive_find_sextuple
 
 
@@ -524,6 +525,23 @@ class TestFindQuadruple:
             cert = find_quadruple(fam)
             assert (cert.indices if cert else None) == want
         assert hits > 0
+
+    def test_matches_evaluation_loop(self):
+        # the Ramsey hit and the fallback, decided by order type, against
+        # the loop that evaluates every candidate directly
+        rng = random.Random(7)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            kappa, n, k = rng.randint(1, 6), rng.randint(4, 16), rng.randint(2, 8)
+            p = (k - 2) * n + rng.randint(1, 30)
+            choices = rng.choice(
+                [None, [rng.randrange(max(k - 1, 1)) for _ in range(n)]]
+            )
+            fam = nested_family(rng.randrange(10**6), kappa, p, n, k, choices)
+            got, want = find_quadruple(fam), naive_find_quadruple(fam)
+            assert (got and got.to_dict()) == (want and want.to_dict())
+            outcomes[got is not None] += 1
+        assert outcomes[False] >= 20 and outcomes[True] >= 200
 
     def test_builds_no_ell_matrix(self, monkeypatch):
         # find_quadruple colours pairs by the gap vectors of the ell rows

@@ -1,17 +1,20 @@
-"""Classification of homogeneous triples and the exhaustive sweep."""
+"""Classification of homogeneous triples and the sweep by order type."""
 
 import pytest
 
-from intalg import algebra, terms, triples
+from intalg import algebra, homogeneity, terms, triples
 from intalg.algebra import Element
 from intalg.errors import CapacityError, InputError
 from intalg.triples import (
     CASE_BOUNDARY,
     CASE_INTERIOR,
+    MAX_SWEEP_ORDER,
     TRIPLE_TERMS,
     classify_triple,
     verify_triples,
 )
+
+from .triples_oracle import sweep_triples
 
 
 def test_all_four_terms_nontrivial():
@@ -91,7 +94,7 @@ class TestSweep:
 
     def test_caps(self):
         with pytest.raises(CapacityError):
-            verify_triples(9, 4)
+            verify_triples(MAX_SWEEP_ORDER + 1, 4)
         with pytest.raises(CapacityError):
             verify_triples(4, 7)
 
@@ -120,3 +123,43 @@ class TestSweep:
                     total += 1
                     assert classify_triple(*trio).vanishing
         assert verify_triples(4, 3).triples == total
+
+    @pytest.mark.parametrize("max_p", range(9))
+    def test_matches_exhaustive_oracle(self, max_p):
+        for max_k in range(7):
+            got = verify_triples(max_p, max_k).to_dict()
+            assert got == sweep_triples(max_p, max_k).to_dict(), max_k
+
+    def test_every_type_at_order_13(self):
+        # order 13 = 3m + 1 holds an instance of every type with m <= 4, that
+        # is |sigma| <= 6, so no type fails at any order size
+        report = verify_triples(13, 6)
+        assert report.counterexamples == ()
+        assert report.interior > 0 and report.boundary > 0
+
+    def test_failing_type_reported_by_its_instance(self, monkeypatch):
+        # a term that is full on every nonempty order vanishes on no triple
+        # there: each type with a positive count is one counterexample
+        monkeypatch.setattr(triples, "TRIPLE_TERMS", (terms.parse("x0+-x0"),))
+        report = verify_triples(4, 3)
+        instances = [
+            tuple(a.endpoints for a in triple)
+            for m, starts in [(0, False), (0, True), (1, False), (1, True)]
+            for triple, _ in triples._order_types(m, starts)
+        ]
+        assert report.counterexamples == tuple(instances)
+        # the oracle lists every concrete triple but the empty order's
+        assert len(sweep_triples(4, 3).counterexamples) == report.triples - 1
+
+
+class TestOrderTypes:
+    @pytest.mark.parametrize("m", range(6))
+    def test_instances_carry_their_ells(self, m):
+        for starts in (False, True):
+            types = list(triples._order_types(m, starts))
+            shape = (m + 2, starts, (m + starts) % 2 == 1)
+            for triple, ell in types:
+                assert {algebra.sigma_of(a).shape for a in triple} == {shape}
+                assert homogeneity.check_homogeneous(triple).ell == ell
+            distinct = {(ell[1][0], *ell[2]) for _, ell in types}
+            assert len(distinct) == len(types) == (m + 1) * (2 * m + 1)
