@@ -13,9 +13,8 @@ Example:
 import argparse
 import itertools
 import json
+import random
 import sys
-
-import numpy as np
 
 from intalg.search import ramsey_quad
 
@@ -32,11 +31,20 @@ def exhaustive_colorings_fail(n, k):
 
 
 def random_falsify(n, k, samples, seed):
-    rng = np.random.default_rng(seed)
+    """The first of samples random colorings with no cross-equal
+    quadruple, as a table of the pairs ramsey_quad read, or None.  Colors
+    are drawn as ramsey_quad asks for them, in lexicographic order, as
+    `intalg ramsey quad` draws them."""
+    rng = random.Random(seed)
     for _ in range(samples):
-        arr = rng.integers(0, k, size=(n, n))
-        if ramsey_quad(n, arr.item) is None:
-            return arr
+        table = {}
+
+        def color(i, j):
+            table[i, j] = rng.randrange(k)
+            return table[i, j]
+
+        if ramsey_quad(n, color) is None:
+            return table
     return None
 
 

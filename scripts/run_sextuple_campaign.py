@@ -43,17 +43,19 @@ def make_family(seed, n_members):
 def run_one(seed, mode, n_members):
     fam = make_family(seed, n_members)
     matrix = ell_matrix(fam)
-    state = pigeonhole_state(matrix)
-    need = required_members(state.distinct_values, mode)
+    v_count = pigeonhole_state(matrix)
+    need = required_members(v_count, mode)
     start = time.perf_counter()
     cert = find_sextuple(fam, mode, matrix)
     elapsed = time.perf_counter() - start
-    verified = cert is not None and product.vanishes(cert.term, fam, cert.indices)
+    verified = cert is not None and product.is_zero(
+        product.prod_eval(cert.term, fam, cert.indices)
+    )
     return {
         "seed": seed,
         "kappa": fam.kappa,
         "members": len(fam),
-        "v_count": state.distinct_values,
+        "v_count": v_count,
         "required_members": need,
         "bound_met": len(fam) >= need,
         "found": cert is not None,

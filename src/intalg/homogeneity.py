@@ -59,13 +59,11 @@ class EllMatrix:
 
     per_coordinate holds each coordinate's ell rows, in
     HomogeneityReport.ell's layout; vectors[beta][alpha], for alpha < beta,
-    is the gap vector ell_vec(alpha, beta) across coordinates, and
-    distinct_vectors the number of different vectors.
+    is the gap vector ell_vec(alpha, beta) across coordinates.
     """
 
     per_coordinate: tuple  # one list of ell rows per coordinate
     vectors: tuple  # one list of gap vectors per member beta
-    distinct_vectors: int
 
     @classmethod
     def index(cls, per_coordinate, n: int) -> "EllMatrix":
@@ -79,7 +77,7 @@ class EllMatrix:
             else [()] * beta
             for beta in range(n)
         )
-        return cls(per_coordinate, vectors, len(set().union(*vectors)))
+        return cls(per_coordinate, vectors)
 
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return self.vectors[beta][alpha]

@@ -145,18 +145,6 @@ def is_zero(values) -> bool:
     return all(a.is_empty() for a in values)
 
 
-def vanishes(t: terms.Term, fam: Family, indices) -> bool:
-    """Whether t is zero on the chosen members, evaluated coordinate by
-    coordinate up to the first nonempty one."""
-    members = [fam.members[i] for i in indices]
-    return all(
-        terms.evaluate(
-            t, [m[zeta] for m in members], order_size=fam.order_sizes[zeta]
-        ).is_empty()
-        for zeta in range(fam.kappa)
-    )
-
-
 def _pattern_meet(order_size, elements, pattern) -> Element:
     acc = algebra.full(order_size)
     for a, sign in zip(elements, pattern):

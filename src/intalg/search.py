@@ -73,9 +73,9 @@ class Certificate:
         }
 
 
-def _checked_ell(fam: Family) -> list:
-    """The ell rows of each coordinate, each checked first: InputError
-    names the first coordinate that is not homogeneous."""
+def ell_matrix(fam: Family) -> EllMatrix:
+    """Every pair's nesting-gap witnesses, bundled into gap vectors; an
+    InputError names the first coordinate that is not homogeneous."""
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -84,13 +84,7 @@ def _checked_ell(fam: Family) -> list:
                 f"coordinate {zeta} is not homogeneous: {report.violation}"
             )
         per_coordinate.append(report.ell)
-    return per_coordinate
-
-
-def ell_matrix(fam: Family) -> EllMatrix:
-    """Nesting-gap witnesses for every pair, bundled over coordinates
-    into gap vectors."""
-    return EllMatrix.index(_checked_ell(fam), len(fam))
+    return EllMatrix.index(per_coordinate, len(fam))
 
 
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
@@ -105,16 +99,9 @@ def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
     return INSIDE if inside else OUTSIDE
 
 
-@dataclass(frozen=True)
-class PigeonholeState:
-    """Input to the pigeonhole bound: how many distinct gap vectors the
-    family's pairs show."""
-
-    distinct_values: int
-
-
-def pigeonhole_state(matrix: EllMatrix) -> PigeonholeState:
-    return PigeonholeState(matrix.distinct_vectors)
+def pigeonhole_state(matrix: EllMatrix) -> int:
+    """How many distinct gap vectors the pairs show: the bound's input."""
+    return len(set().union(*matrix.vectors))
 
 
 def required_members(v_count: int, mode: str) -> int:
@@ -307,25 +294,30 @@ def ramsey_quad(n: int, colors):
 def find_quadruple(fam: Family) -> Certificate | None:
     """Verified quadruple witness for (x0^x1)*(x2^x3), or None.
 
-    The pair coloring by gap vectors, read from the checked ell rows as
-    ramsey_quad reaches each row, is only a search heuristic: a pattern hit
-    is accepted only if the term vanishes on it, and search over all
-    quadruples in lexicographic order is the fallback.  Both are decided by
-    _order_type_decider, so a quadruple whose ells already left the term
-    non-empty in some coordinate is rejected without evaluation.
+    With pairs coloured by gap vector, ramsey_quad's hit is a certificate.
+    Let g be its four cross pairs' colour.  In each coordinate a2 and a3
+    lie wholly in gap g of a0 and in gap g of a1.  a0 and a1 are constant
+    on their gaps g, both (g + starts) mod 2 by the shared shape, and a2^a3
+    lies inside both gaps, since a2 and a3 agree outside the span of their
+    finite endpoints.  With no finite endpoints all members are equal.
+    The hit is re-verified all the same, and AssertionError reports a
+    failure.  Only without a hit are all quadruples searched, in
+    lexicographic order.  _order_type_decider decides both.
     """
-    ells = _checked_ell(fam)
+    matrix = ell_matrix(fam)
     n = len(fam)
-    decide = _order_type_decider(fam, ells, TERM_QUAD)
-    idx = ramsey_quad(n, lambda i, j: tuple([rows[j][i] for rows in ells]))
-    if idx is not None and not decide(idx):
-        log.warning("gap-vector quadruple %s failed evaluation", idx)
-        idx = None
+    decide = _order_type_decider(fam, matrix.per_coordinate, TERM_QUAD)
+    idx = ramsey_quad(n, lambda i, j: matrix.vectors[j][i])
     if idx is None:
         idx = next(filter(decide, itertools.combinations(range(n), 4)), None)
-    if idx is None:
-        return None
-    evidence = _evidence(fam, ells, idx, ((0, 2),))
+        if idx is None:
+            return None
+    elif not decide(idx):
+        raise AssertionError(
+            f"internal consistency failure: gap-vector quadruple {idx} "
+            "does not vanish"
+        )
+    evidence = _evidence(fam, matrix.per_coordinate, idx, ((0, 2),))
     return Certificate(idx, TERM_QUAD, "quadruple", evidence)
 
 
@@ -381,10 +373,10 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
         }
         return PipelineResult(None, info)
     matrix = EllMatrix.index(extraction.ell, len(flat))
-    state = pigeonhole_state(matrix)
+    v_count = pigeonhole_state(matrix)
     info["pigeonhole"] = {
-        "distinct_values": state.distinct_values,
-        "required_members": required_members(state.distinct_values, mode),
+        "distinct_values": v_count,
+        "required_members": required_members(v_count, mode),
         "achieved_members": len(flat),
     }
     cert = find_sextuple(flat, mode, matrix)

@@ -1,6 +1,6 @@
 """Reference quadruple search: the gap-vector Ramsey hit, then every
-quadruple in lexicographic order, each accepted only when
-product.vanishes evaluates the term to zero on it.
+quadruple in lexicographic order, each accepted only when the term
+evaluates to zero on it.
 
 search.find_quadruple decides the same candidates by order type and must
 return the same certificate.
@@ -8,26 +8,26 @@ return the same certificate.
 
 import itertools
 
-from intalg.product import vanishes
+from intalg.product import is_zero, prod_eval
 from intalg.search import (
     TERM_QUAD,
     Certificate,
     CoordinateEvidence,
-    _checked_ell,
+    ell_matrix,
     gap_side,
     ramsey_quad,
 )
 
 
 def naive_find_quadruple(fam):
-    ells = _checked_ell(fam)
+    ells = ell_matrix(fam).per_coordinate
     n = len(fam)
     hit = ramsey_quad(n, lambda i, j: tuple([rows[j][i] for rows in ells]))
     candidates = itertools.combinations(range(n), 4)
     if hit is not None:
         candidates = itertools.chain([hit], candidates)
     for idx in candidates:
-        if vanishes(TERM_QUAD, fam, idx):
+        if is_zero(prod_eval(TERM_QUAD, fam, idx)):
             evidence = tuple(
                 CoordinateEvidence(zeta, True, (ell,), gap_side(fam, zeta, idx[0], ell))
                 for zeta, ell in enumerate(rows[idx[2]][idx[0]] for rows in ells)

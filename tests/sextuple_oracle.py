@@ -7,7 +7,7 @@ search.find_sextuple must reproduce.
 """
 
 from intalg.errors import InputError
-from intalg.product import vanishes
+from intalg.product import is_zero, prod_eval
 from intalg.search import MODE_TERMS, Certificate, _evidence, ell_matrix
 
 
@@ -39,7 +39,7 @@ def naive_find_sextuple(fam, mode="short"):
                             if mode == "symmetric" and vec(a4, a5) != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
-                            if vanishes(term, fam, idx):
+                            if is_zero(prod_eval(term, fam, idx)):
                                 return Certificate(
                                     idx,
                                     term,

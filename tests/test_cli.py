@@ -297,6 +297,18 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(out)["term"] == "(x0^x1)*(x2^x3)"
 
+    def test_quadruple_failed_hit_exits_3(self, capsys, tmp_path, monkeypatch):
+        from intalg import search, terms
+
+        path, _ = nested_family_file(tmp_path, n=5)
+        monkeypatch.setattr(search, "TERM_QUAD", terms.parse("x0+-x0"))
+        code, out, err = run(capsys, "search", "quadruple", "--family", str(path))
+        assert code == EXIT_INTERNAL_ERROR and out == ""
+        assert "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "AssertionError"
+        assert record["message"].startswith("internal consistency failure")
+
     def test_sextuple_over_budget_exits_2(self, capsys, tmp_path, monkeypatch):
         from intalg import search
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intalg import algebra, product, terms
+from intalg import algebra, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
 from intalg.errors import CapacityError, InputError
 from intalg.product import Family, is_independent, is_zero, prod_eval
@@ -132,30 +132,6 @@ class TestProdEval:
         rng = random.Random(4)
         fam = random_family(rng, 2, (5, 7), 3)
         assert prod_eval(terms.parse("x0"), fam, [2]) == list(fam.members[2])
-
-    def test_vanishes_matches_is_zero_and_stops_early(self, monkeypatch):
-        evaluate, calls = terms.evaluate, []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(terms, "evaluate", counting)
-        rng = random.Random(5)
-        t = terms.parse("(x0^x1)*-x2")
-        outcomes = set()
-        for _ in range(300):
-            fam = random_family(rng, 3, (4, 3, 5), 4)
-            idx = rng.sample(range(4), 3)
-            values = prod_eval(t, fam, idx)
-            calls.clear()
-            got = product.vanishes(t, fam, idx)
-            assert got == is_zero(values)
-            # evaluation stops at the first nonempty coordinate
-            first = next((z for z, v in enumerate(values) if not v.is_empty()), 2)
-            assert len(calls) == first + 1
-            outcomes.add((got, len(calls)))
-        assert {(True, 3), (False, 1), (False, 2), (False, 3)} <= outcomes
 
     def test_errors(self):
         fam = single_coordinate(4, [algebra.empty(4)])

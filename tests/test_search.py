@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intalg import algebra, homogeneity, product, search, terms
+from intalg import algebra, homogeneity, search, terms
 from intalg.algebra import NEG_INF, POS_INF, Element
 from intalg.cli import gen_random_family
 from intalg.errors import CapacityError, InputError
@@ -106,14 +106,12 @@ class TestPigeonhole:
     def test_recount_invariant(self):
         fam = nested_family(6, 2, 64, 8, 4)
         matrix = ell_matrix(fam)
-        state = pigeonhole_state(matrix)
         # recount everything from the matrix itself
         n = len(fam)
         seen = {
             matrix.ell_vec(a, b) for a, b in itertools.combinations(range(n), 2)
         }
-        assert state.distinct_values == len(seen)
-        assert matrix.distinct_vectors == len(seen)
+        assert pigeonhole_state(matrix) == len(seen)
         # the gap vectors: row beta zips the coordinates' ells of beta
         assert len(matrix.vectors) == n
         for beta, row in enumerate(matrix.vectors):
@@ -192,8 +190,8 @@ class TestFindSextuple:
         for _ in range(10):
             choices = [rng.randrange(2) for _ in range(12)]
             fam = nested_family(rng.randrange(10**6), 1, 64, 12, 4, choices)
-            state = pigeonhole_state(ell_matrix(fam))
-            if len(fam) >= required_members(state.distinct_values, "short"):
+            v_count = pigeonhole_state(ell_matrix(fam))
+            if len(fam) >= required_members(v_count, "short"):
                 assert find_sextuple(fam, "short") is not None
 
 
@@ -285,7 +283,7 @@ class TestSextupleIndexAgainstNaive:
 
     def assert_decisions_match_evaluation(self, decisions, fam, mode):
         for idx, verdict, _ in decisions:
-            assert verdict == product.vanishes(MODE_TERMS[mode], fam, idx), idx
+            assert verdict == is_zero(prod_eval(MODE_TERMS[mode], fam, idx)), idx
         if mode == "short":  # the docstring's argument: short mode never fails
             assert all(verdict for _, verdict, _ in decisions)
 
@@ -511,7 +509,7 @@ class TestFindQuadruple:
             matrix = ell_matrix(fam)
             want = ramsey_quad(n, matrix.ell_vec)
             assert ramsey_quad(n, lambda i, j: matrix.vectors[j][i]) == want
-            if want is None or not is_zero(prod_eval(TERM_QUAD, fam, want)):
+            if want is None:
                 want = next(
                     (
                         q
@@ -543,25 +541,83 @@ class TestFindQuadruple:
             outcomes[got is not None] += 1
         assert outcomes[False] >= 20 and outcomes[True] >= 200
 
-    def test_builds_no_ell_matrix(self, monkeypatch):
-        # find_quadruple colours pairs by the gap vectors of the ell rows
-        # it checked; indexing them into an EllMatrix is never needed
+    def test_calls_ell_matrix_once(self, monkeypatch):
+        # the Ramsey colouring, the decider and the evidence all read one
+        # checked matrix, with a hit and without one
         rng = random.Random(32)
-        cases = []
-        for _ in range(20):
-            n = rng.randint(4, 12)
+        real, built = search.ell_matrix, []
+        monkeypatch.setattr(
+            search, "ell_matrix", lambda fam: built.append(fam) or real(fam)
+        )
+        outcomes = set()
+        for _ in range(30):
+            n = rng.randint(3, 12)
             choices = [rng.randrange(3) for _ in range(n)]
             kappa = rng.randint(1, 3)
             fam = nested_family(rng.randrange(10**6), kappa, 64, n, 5, choices)
-            cases.append((fam, find_quadruple(fam)))
+            built.clear()
+            cert = find_quadruple(fam)
+            assert built == [fam]
+            outcomes.add(cert is not None)
+        assert outcomes == {False, True}
 
-        def refuse(cls, per_coordinate, n):
-            raise AssertionError("find_quadruple built an EllMatrix")
+    def test_failed_hit_raises(self, monkeypatch):
+        # a Ramsey hit the term does not vanish on contradicts the proof in
+        # find_quadruple's docstring: no fallback, no None
+        fam = nested_family(10, 1, 64, 5, 4, gap_choices=[1] * 5)
+        monkeypatch.setattr(search, "TERM_QUAD", terms.parse("x0+-x0"))
+        with pytest.raises(AssertionError, match="internal consistency failure"):
+            find_quadruple(fam)
 
-        monkeypatch.setattr(EllMatrix, "index", classmethod(refuse))
-        for fam, want in cases:
-            assert find_quadruple(fam) == want
-        assert any(want for _, want in cases)
+
+class TestRamseyHitVanishes:
+    """The proof in find_quadruple's docstring, checked by direct
+    evaluation: under the gap-vector colouring every ramsey_quad hit is a
+    zero of (x0^x1)*(x2^x3)."""
+
+    @staticmethod
+    def family(seed, kappa, k, n, pooled):
+        rng = random.Random(seed)
+        m = k - 2
+        p = m * n + rng.randint(1, 20)
+        columns = []
+        for _ in range(kappa):
+            pool = None
+            if pooled:
+                pool = rng.sample(range(m + 1), rng.randint(1, m + 1))
+            seq = gen_homogeneous(rng.randrange(2**32), p, n, k, gap_pool=pool)
+            columns.append(seq)
+        return Family.from_columns((p,) * kappa, columns, n)
+
+    @staticmethod
+    def hit(fam):
+        matrix = ell_matrix(fam)
+        hit = ramsey_quad(len(fam), lambda i, j: matrix.vectors[j][i])
+        if hit is not None:
+            assert is_zero(prod_eval(TERM_QUAD, fam, hit)), hit
+        return hit
+
+    def test_seeded(self):
+        rng = random.Random(16)
+        hits = collections.Counter()
+        for seed in range(400):
+            kappa, k = rng.randint(0, 4), rng.randint(2, 8)
+            pooled = rng.random() < 0.5
+            fam = self.family(seed, kappa, k, rng.randint(4, 16), pooled)
+            hits[kappa, self.hit(fam) is not None] += 1
+        assert all(hits[kappa, True] for kappa in range(5))
+        assert sum(hits[kappa, False] for kappa in range(5)) >= 20
+
+    @given(
+        seed=st.integers(0, 10**6),
+        kappa=st.integers(0, 4),
+        k=st.integers(2, 8),
+        n=st.integers(0, 16),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis(self, seed, kappa, k, n, pooled):
+        self.hit(self.family(seed, kappa, k, n, pooled))
 
 
 class TestTermDomination:
