@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from .pointset_oracle import (
     oracle_points,
     oracle_restrict,
 )
+from .validation_oracle import validation_error
 
 
 class TestCanonicalForm:
@@ -85,6 +87,88 @@ class TestCanonicalForm:
         assert algebra.full(0).is_empty()
         assert algebra.full(1).endpoints == (NEG_INF, POS_INF)
         assert algebra.from_point_set(1, {0}) == algebra.full(1)
+
+
+def construction_error(p, eps):
+    """The InputError text of Element(p, eps), or None if it is accepted."""
+    try:
+        Element(p, eps)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidation:
+    """Element checks a list of more than 8 endpoints in C and runs the
+    per-endpoint loop only to name a fault; validation_oracle is the loop on
+    its own, so both must accept the same lists and raise the same text."""
+
+    WRONG_TYPES = ("3", 2.5, None, float("nan"), [4])
+
+    @staticmethod
+    def break_one(rng, p, eps, kind):
+        i = rng.randrange(len(eps))
+        if kind == "type":
+            finite = isinstance(eps[i], int)
+            eps[i] = float(eps[i]) if finite and rng.random() < 0.3 else rng.choice(
+                TestValidation.WRONG_TYPES
+            )
+        elif kind == "range":
+            eps[i] = rng.choice((0, p, p + 7, -3))
+        elif kind == "infinity":
+            eps[i] = rng.choice((NEG_INF, POS_INF))
+        elif len(eps) > 1:  # order: a swap or a repeat
+            i = max(i, 1)
+            if rng.random() < 0.5:
+                eps[i - 1], eps[i] = eps[i], eps[i - 1]
+            else:
+                eps[i] = eps[i - 1]
+
+    def test_seeded_faults_match_oracle(self):
+        rng = random.Random(15)
+        kinds = ("type", "range", "infinity", "order")
+        seen = Counter()
+        for _ in range(3000):
+            p = rng.choice((1, 2, 8, 64, 1024))
+            eps = list(random_element(rng, p).endpoints) or [NEG_INF, POS_INF]
+            faults = rng.sample(kinds, rng.choice((1, 1, 2)))
+            for kind in faults:
+                self.break_one(rng, p, eps, kind)
+            eps = tuple(eps)
+            want = validation_error(p, eps)
+            assert construction_error(p, eps) == want, (p, eps)
+            seen[len(eps) > 8, want is None, len(faults)] += 1
+        # both the loop and the C check met faults, one and two at a time
+        for long in (False, True):
+            for count in (1, 2):
+                assert seen[long, False, count] > 50, seen
+
+    def test_structure_faults_match_oracle(self):
+        for p, eps in [
+            (-1, ()),
+            (5, (2,)),
+            (5, tuple(range(1, 5)) + (POS_INF,)),
+            (0, (NEG_INF, POS_INF)),
+            (0, ()),
+            (1, (NEG_INF, POS_INF)),
+        ]:
+            assert construction_error(p, eps) == validation_error(p, eps)
+
+    def test_accepted_exactly_when_oracle_accepts(self):
+        rng = random.Random(16)
+        accepted = Counter()
+        for _ in range(3000):
+            p = rng.choice((1, 3, 8, 20, 64))
+            pool = [NEG_INF, POS_INF, True, *range(-1, p + 2)]
+            eps = rng.sample(pool, min(len(pool), 2 * rng.randint(0, 12)))
+            if rng.random() < 0.8:
+                eps = sorted(set(eps), key=float)
+                eps = eps[: len(eps) - len(eps) % 2]
+            eps = tuple(eps)
+            want = validation_error(p, eps)
+            assert construction_error(p, eps) == want, (p, eps)
+            accepted[len(eps) > 8, want is None] += 1
+        assert min(accepted.values()) > 50, accepted
 
 
 class TestOperations:
@@ -246,6 +330,100 @@ class TestRestrict:
                 assert oracle_points(r) == oracle_restrict(a, lo, hi), (lo, hi)
 
 
+def shaped(rng, p, count, starts, ends):
+    """Element over order size p with count intervals, from -inf when
+    starts and up to +inf when ends."""
+    finite = sorted(rng.sample(range(1, p), 2 * count - starts - ends))
+    return Element(p, (NEG_INF,) * starts + tuple(finite) + (POS_INF,) * ends)
+
+
+def finite_endpoints(a):
+    return [e for e in a.endpoints if e not in (NEG_INF, POS_INF)]
+
+
+class TestUnevenOperands:
+    """meet clips the operand with more endpoints to each interval of the
+    other, and join does so on the complements: operands of 2 endpoints
+    against about 600 at p = 1024, with -inf and +inf on either side."""
+
+    P = 1024
+    SHAPES = list(itertools.product((0, 1), repeat=2))
+
+    @pytest.fixture(scope="class")
+    def longs(self):
+        rng = random.Random(self.P)
+        longs = [shaped(rng, self.P, 300, s, e) for s, e in self.SHAPES]
+        return [(a, oracle_points(a)) for a in longs]
+
+    def shorts(self, rng, long):
+        """One interval of every shape, at random points and on the long
+        operand's own endpoints."""
+        f = finite_endpoints(long)
+        k = rng.randrange(len(f) - 60)
+        out = [algebra.empty(self.P), algebra.full(self.P)]
+        out += [shaped(rng, self.P, 1, s, e) for s, e in self.SHAPES]
+        for eps in [(f[k], f[k + 1]), (f[k], f[k + 50]), (NEG_INF, f[k]),
+                    (f[k], POS_INF)]:
+            out.append(Element(self.P, eps))
+        return out
+
+    def test_meet_and_join(self, longs):
+        rng = random.Random(2)
+        for long, long_pts in longs:
+            for short in self.shorts(rng, long):
+                short_pts = oracle_points(short)
+                m = algebra.meet(short, long)
+                assert algebra.meet(long, short) == m
+                assert oracle_points(m) == short_pts & long_pts, short
+                j = algebra.join(short, long)
+                assert algebra.join(long, short) == j
+                assert oracle_points(j) == short_pts | long_pts, short
+
+    def test_complement(self, longs):
+        for long, long_pts in longs:
+            c = algebra.complement(long)
+            assert oracle_points(c) == frozenset(range(self.P)) - long_pts
+            assert algebra.complement(c) == long
+
+    def test_restrict_on_endpoints(self, longs):
+        # windows open and close on the element's own endpoints, at 0 and
+        # at the infinities
+        rng = random.Random(3)
+        for long, long_pts in longs:
+            f = finite_endpoints(long)
+            for _ in range(6):
+                k = rng.randrange(len(f) - 60)
+                windows = [
+                    (f[k], f[k + 1]),
+                    (f[k], f[k + rng.randint(2, 60)]),
+                    (NEG_INF, f[k]),
+                    (0, f[k]),
+                    (f[k], POS_INF),
+                    (f[k] - 1, f[k] + 1),
+                ]
+                for lo, hi in windows:
+                    lo_clip = 0 if lo == NEG_INF else lo
+                    hi_clip = self.P if hi == POS_INF else hi
+                    want = {x - lo_clip for x in long_pts if lo_clip <= x < hi_clip}
+                    r = algebra.restrict(long, lo, hi)
+                    assert r.order_size == hi_clip - lo_clip
+                    assert oracle_points(r) == want, (lo, hi)
+
+    def test_order_sizes_zero_and_one(self):
+        for p in (0, 1):
+            elements = list(all_elements(p))
+            assert len(elements) == 1 << p
+            for a, b in itertools.product(elements, repeat=2):
+                assert oracle_points(a & b) == oracle_meet(a, b)
+                assert oracle_points(a | b) == oracle_points(a) | oracle_points(b)
+            for a in elements:
+                assert oracle_points(~a) == oracle_complement(a)
+        for a in all_elements(1):
+            for lo, hi in itertools.combinations([NEG_INF, 0, POS_INF], 2):
+                r = algebra.restrict(a, lo, hi)
+                assert oracle_points(r) == oracle_restrict(a, lo, hi)
+
+
 def many_intervals(rng, p, count):
     """Element over order size p with count intervals at random points."""
     pool = [NEG_INF, *range(1, p), POS_INF]
@@ -319,3 +497,38 @@ def test_hypothesis_restrict_matches_oracle(data):
     window = st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True)
     lo, hi = sorted(data.draw(window))
     assert oracle_points(algebra.restrict(a, lo, hi)) == oracle_restrict(a, lo, hi)
+
+
+@st.composite
+def uneven_pairs(draw, max_p=200):
+    """Two elements over one order size: one of at most 4 endpoints, the
+    other holding each legal endpoint with probability one half."""
+    p = draw(st.integers(min_value=0, max_value=max_p))
+    pool = [NEG_INF, *range(1, p), POS_INF] if p else []
+    picks = draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else set()
+    short = sorted(picks)
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    long = [e for e, k in zip(pool, keep) if k]
+    a, b = (
+        Element(p, tuple(eps[: len(eps) - len(eps) % 2])) for eps in (short, long)
+    )
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(uneven_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_uneven_ops_match_oracle(pair, data):
+    a, b = pair
+    pa, pb = oracle_points(a), oracle_points(b)
+    assert oracle_points(a & b) == pa & pb
+    assert oracle_points(a | b) == pa | pb
+    assert oracle_points(~a) == oracle_complement(a)
+    assert oracle_points(~b) == oracle_complement(b)
+    if a.order_size:
+        # a window whose ends may sit on either operand's endpoints
+        cuts = sorted({NEG_INF, 0, POS_INF, *a.endpoints, *b.endpoints})
+        window = st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True)
+        lo, hi = sorted(data.draw(window))
+        for x in (a, b):
+            r = algebra.restrict(x, lo, hi)
+            assert oracle_points(r) == oracle_restrict(x, lo, hi)
