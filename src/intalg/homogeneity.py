@@ -119,6 +119,34 @@ def check_homogeneous(seq) -> HomogeneityReport:
     return HomogeneityReport(True, ell)
 
 
+def order_types(k: int, m: int, starts: bool):
+    """(seq, ell) for one instance of each order type of homogeneous
+    k-tuples whose members have m finite endpoints and start at -inf when
+    starts; ell is seq's HomogeneityReport.ell.
+
+    The order-type argument: member j lies inside gap ell[j][i] of each
+    earlier member i, so its m finite endpoints form one block in one of
+    the j*m + 1 slots of the earlier members' merged endpoints, and the
+    ells fix that slot, hence how all the tuple's endpoints interleave.
+    The members share one shape, so each cell between consecutive
+    endpoints lies in the same members whatever their values, and every
+    cell holds a point: whether a term is empty on the tuple depends on
+    its ells alone.
+
+    There are prod_{j<k} (j*m + 1) types per shape, one per slot sequence,
+    in lexicographic order.  Each instance lies on the points 1..k*m of
+    order k*m + 1, and ell[j][i] counts i's endpoints before j's block."""
+    head, tail = (NEG_INF,) * starts, (POS_INF,) * ((m + starts) % 2)
+    for slots in itertools.product(*(range(j * m + 1) for j in range(k))):
+        labels, ell, finite = [], [], [[] for _ in slots]
+        for j, slot in enumerate(slots):
+            ell.append(list(map(labels[:slot].count, range(j))))
+            labels[slot:slot] = [j] * m
+        for x, j in enumerate(labels, 1):
+            finite[j].append(x)
+        yield [Element(k * m + 1, head + tuple(f) + tail) for f in finite], ell
+
+
 def _validate_cuts(cuts) -> tuple:
     cuts = tuple(cuts)
     if len(cuts) < 2 or cuts[0] != NEG_INF or cuts[-1] != POS_INF:

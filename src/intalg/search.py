@@ -37,6 +37,10 @@ OUTSIDE = "outside"
 # candidates find_sextuple may enumerate before it raises CapacityError;
 # the most any test, benchmark task or campaign family needs is 27,171
 MAX_SEXTUPLE_CANDIDATES = 1_000_000
+# quadruples find_quadruple's fallback may test before it raises
+# CapacityError; the most any test, benchmark task or campaign family
+# needs is 1,365 (C(15, 4))
+MAX_QUADRUPLE_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -130,19 +134,12 @@ def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
     """decide(idx): whether term vanishes on the members idx, in increasing
     order, of the homogeneous family whose ell rows are per_coordinate.
 
-    The order-type argument: in a homogeneous coordinate, member j > i
-    lies inside gap ell(i, j) of member i, so the pairwise ells of a tuple
-    fix how every finite endpoint of its members interleaves.  The members
-    share one shape, so each cell between consecutive endpoints lies in
-    the same members whatever the endpoints' values, and every cell holds
-    a point.  Whether a term is empty in that coordinate therefore depends
-    on the ells alone.
-
-    So per coordinate it remembers whether the term was empty for the ells
-    of idx's pairs: a coordinate is evaluated the first time its ells
-    appear, and a candidate whose ells somewhere already left the term
-    non-empty is rejected without evaluation.  A candidate it accepts has
-    had every coordinate evaluated directly, each once.
+    Whether the term is empty in a coordinate depends only on the ells of
+    idx's pairs there (the argument of homogeneity.order_types), so per
+    coordinate it remembers the answer: a coordinate is evaluated the first
+    time its ells appear, and a candidate whose ells somewhere already left
+    the term non-empty is rejected without evaluation.  A candidate it
+    accepts has had every coordinate evaluated directly, each once.
     """
     members, order_sizes = fam.members, fam.order_sizes
     coordinates = [(zeta, rows, {}) for zeta, rows in enumerate(per_coordinate)]
@@ -191,8 +188,8 @@ def find_sextuple(
 
     Most symmetric-mode candidates fail, and most of them are decided
     without evaluation: a coordinate's emptiness depends only on the 15
-    pairwise ells of the candidate (_order_type_decider's order-type
-    argument), so it is evaluated the first time its ells appear.
+    pairwise ells of the candidate (homogeneity.order_types), so it is
+    evaluated the first time its ells appear.
 
     Short mode never fails on a candidate.  In each coordinate a1 and a2
     lie in gap ell of a0, and a4 and a5 in gap ell of a3, and the shared
@@ -302,15 +299,22 @@ def find_quadruple(fam: Family) -> Certificate | None:
     finite endpoints.  With no finite endpoints all members are equal.
     The hit is re-verified all the same, and AssertionError reports a
     failure.  Only without a hit are all quadruples searched, in
-    lexicographic order.  _order_type_decider decides both.
+    lexicographic order, up to MAX_QUADRUPLE_CANDIDATES (CapacityError
+    past it).  _order_type_decider decides both (homogeneity.order_types).
     """
     matrix = ell_matrix(fam)
     n = len(fam)
     decide = _order_type_decider(fam, matrix.per_coordinate, TERM_QUAD)
     idx = ramsey_quad(n, lambda i, j: matrix.vectors[j][i])
     if idx is None:
-        idx = next(filter(decide, itertools.combinations(range(n), 4)), None)
+        quads = itertools.combinations(range(n), 4)
+        capped = itertools.islice(quads, MAX_QUADRUPLE_CANDIDATES)
+        idx = next(filter(decide, capped), None)
         if idx is None:
+            if next(quads, None) is not None:
+                raise CapacityError(
+                    f"quadruple search exceeds {MAX_QUADRUPLE_CANDIDATES} candidates"
+                )
             return None
     elif not decide(idx):
         raise AssertionError(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from . import algebra, homogeneity, terms
-from .algebra import NEG_INF, POS_INF, Element
 from .errors import CapacityError, InputError
 
 TRIPLE_TERMS = (
@@ -89,37 +88,17 @@ class SweepReport:
         }
 
 
-def _order_types(m: int, starts: bool):
-    """(triple, ell) for one instance of each order type of homogeneous
-    triples whose members have m finite endpoints and start at -inf when
-    starts: a1's endpoints are a block in gap ell01 of a0, and a2's a block
-    in one of the 2m+1 slots of that merged list.  Each instance sits on
-    the points 1..3m of order 3m+1; ell is its HomogeneityReport.ell."""
-    head, tail = (NEG_INF,) * starts, (POS_INF,) * ((m + starts) % 2)
-    for ell01 in range(m + 1):
-        merged = [0] * ell01 + [1] * m + [0] * (m - ell01)
-        for slot in range(2 * m + 1):
-            labels = merged[:slot] + [2] * m + merged[slot:]
-            finite = [[], [], []]
-            for x, i in enumerate(labels, 1):
-                finite[i].append(x)
-            triple = [Element(3 * m + 1, head + tuple(f) + tail) for f in finite]
-            below = labels[:slot]
-            yield triple, [[], [ell01], [below.count(0), below.count(1)]]
-
-
 def verify_triples(max_p: int, max_k: int) -> SweepReport:
     """Classify every homogeneous triple over orders of size at most max_p
     with common sigma size at most max_k, one order type at a time.
 
     The vanishing set and the case tag of a triple depend only on its
-    order type (the order-type argument of search._order_type_decider),
-    and a type with m >= 1 finite endpoints per member occurs C(p-1, 3m)
-    times at order size p: once per choice of its 3m points.  Over
-    p <= max_p that sums to C(max_p, 3m+1).  For m = 0 the triples are
-    (e, e, e), e empty on max_p + 1 orders or full on max_p; on the empty
-    order every term vanishes.  A counterexample is reported by its type's
-    instance.
+    order type (homogeneity.order_types), and a type with m >= 1 finite
+    endpoints per member occurs C(p-1, 3m) times at order size p: once per
+    choice of its 3m points.  Over p <= max_p that sums to C(max_p, 3m+1).
+    For m = 0 the triples are (e, e, e), e empty on max_p + 1 orders or
+    full on max_p; on the empty order every term vanishes.  A
+    counterexample is reported by its type's instance.
     """
     if max_p < 0 or max_k < 0:
         raise InputError(f"negative bound: max_p={max_p}, max_k={max_k}")
@@ -134,7 +113,7 @@ def verify_triples(max_p: int, max_k: int) -> SweepReport:
             weight = math.comb(max_p, 3 * m + 1) + (m == 0 and not starts)
             if not weight:
                 continue
-            for triple, ell in _order_types(m, starts):
+            for triple, ell in homogeneity.order_types(3, m, starts):
                 total += weight
                 if _case_tag(ell[2][1], m + 2) == CASE_INTERIOR:
                     interior += weight

@@ -322,6 +322,26 @@ class TestSearch:
             "message": "symmetric-mode sextuple search exceeds 0 candidates",
         }
 
+    def test_quadruple_over_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        from intalg import search
+
+        # no quadruple of these 5 members vanishes: the Ramsey scan finds
+        # no hit, and the fallback tests all C(5, 4) = 5 quadruples
+        col = [algebra.Element(6, (e, algebra.POS_INF)) for e in (5, 2, 3, 1, 4)]
+        path = tmp_path / "family.json"
+        write_family(path, Family.from_columns((6,), [col]))
+        monkeypatch.setattr(search, "MAX_QUADRUPLE_CANDIDATES", 5)
+        code, out, _ = run(capsys, "search", "quadruple", "--family", str(path))
+        assert code == EXIT_NO_WITNESS
+        monkeypatch.setattr(search, "MAX_QUADRUPLE_CANDIDATES", 4)
+        code, out, err = run(capsys, "search", "quadruple", "--family", str(path))
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": "quadruple search exceeds 4 candidates",
+        }
+
     def test_exhausted(self, capsys, tmp_path):
         path, _ = nested_family_file(tmp_path, n=4)
         code, out, _ = run(capsys, "search", "sextuple", "--family", str(path))

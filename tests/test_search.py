@@ -30,6 +30,7 @@ from intalg.search import (
     ramsey_quad,
     required_members,
 )
+from intalg.triples import TRIPLE_TERMS
 
 from .conftest import random_element
 from .homogeneity_oracle import pairwise_greedy_nested
@@ -570,6 +571,33 @@ class TestFindQuadruple:
             find_quadruple(fam)
 
 
+class TestQuadrupleBudget:
+    @pytest.mark.parametrize(
+        "args, least, want",
+        [((959, 3, 17, 5, 4), 4, (0, 2, 3, 4)), ((646, 2, 9, 5, 3), 5, None)],
+    )
+    def test_least_sufficient_budget_is_exact(self, monkeypatch, args, least, want):
+        # with no Ramsey hit the fallback tests quadruples in lexicographic
+        # order: budget b finishes with the uncapped answer (a hit at rank
+        # b, or None after all C(5, 4) = 5), and b - 1 raises
+        fam = nested_family(*args)
+        matrix = ell_matrix(fam)
+        assert ramsey_quad(len(fam), lambda i, j: matrix.vectors[j][i]) is None
+        monkeypatch.setattr(search, "MAX_QUADRUPLE_CANDIDATES", least)
+        cert = find_quadruple(fam)
+        assert (cert and cert.indices) == want
+        monkeypatch.setattr(search, "MAX_QUADRUPLE_CANDIDATES", least - 1)
+        message = f"^quadruple search exceeds {least - 1} candidates$"
+        with pytest.raises(CapacityError, match=message):
+            find_quadruple(fam)
+
+    def test_ramsey_hit_and_small_families_charge_nothing(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_QUADRUPLE_CANDIDATES", 0)
+        fam = nested_family(10, 1, 64, 5, 4, gap_choices=[1] * 5)
+        assert find_quadruple(fam).indices == (0, 1, 2, 3)
+        assert find_quadruple(nested_family(11, 1, 64, 3, 4)) is None
+
+
 class TestRamseyHitVanishes:
     """The proof in find_quadruple's docstring, checked by direct
     evaluation: under the gap-vector colouring every ramsey_quad hit is a
@@ -618,6 +646,70 @@ class TestRamseyHitVanishes:
     @settings(max_examples=100, deadline=None)
     def test_hypothesis(self, seed, kappa, k, n, pooled):
         self.hit(self.family(seed, kappa, k, n, pooled))
+
+
+def every_type(k, max_m):
+    """homogeneity.order_types over both shapes and m = 0..max_m, that is
+    |sigma| <= max_m + 2."""
+    for m in range(max_m + 1):
+        for starts in (False, True):
+            yield from homogeneity.order_types(k, m, starts)
+
+
+class TestLemmasOverEveryType:
+    """The searches' lemmas, evaluated on one instance of every order type
+    up to a sigma size.  By the argument of homogeneity.order_types that
+    decides them for every homogeneous tuple of those sigma sizes, in
+    every coordinate."""
+
+    def test_short_mode_never_fails(self):
+        # find_sextuple's lemma: equal ells on (0,1), (0,2), (3,4) and
+        # (3,5) make TERM_SHORT empty
+        checked = 0
+        for seq, ell in every_type(6, 2):
+            if ell[1][0] == ell[2][0] == ell[4][3] == ell[5][3]:
+                instance = [a.endpoints for a in seq]
+                assert terms.evaluate(TERM_SHORT, seq).is_empty(), instance
+                checked += 1
+        assert checked == 2800
+
+    def test_ramsey_hit_vanishes(self):
+        # find_quadruple's lemma: equal ells on the four cross pairs (0,2),
+        # (0,3), (1,2) and (1,3) make TERM_QUAD empty
+        checked = total = 0
+        for seq, ell in every_type(4, 5):
+            total += 1
+            if ell[2][0] == ell[3][0] == ell[2][1] == ell[3][1]:
+                instance = [a.endpoints for a in seq]
+                assert terms.evaluate(TERM_QUAD, seq).is_empty(), instance
+                checked += 1
+        assert (checked, total) == (462, 4102)
+
+    def test_relabelling_keeps_ells_and_emptiness(self):
+        # the premise: an order-preserving move of an instance's finite
+        # endpoints onto a larger order keeps its ells, and every term of
+        # arity at most k stays empty or non-empty
+        rng = random.Random(9)
+        all_terms = (*MODE_TERMS.values(), *TRIPLE_TERMS)
+        moved_count, outcomes = 0, set()
+        for k, max_m in ((3, 4), (4, 3), (6, 1)):
+            arity_terms = [t for t in all_terms if terms.num_vars(t) <= k]
+            for seq, ell in every_type(k, max_m):
+                p = seq[0].order_size
+                q = p + rng.randint(1, 20)
+                moved = dict(zip(range(1, p), sorted(rng.sample(range(1, q), p - 1))))
+                relabelled = [
+                    Element(q, tuple(moved.get(e, e) for e in a.endpoints))
+                    for a in seq
+                ]
+                assert homogeneity.check_homogeneous(relabelled).ell == ell
+                for t in arity_terms:
+                    empty = terms.evaluate(t, seq).is_empty()
+                    assert terms.evaluate(t, relabelled).is_empty() == empty
+                    outcomes.add((terms.render(t), empty))
+                moved_count += 1
+        assert moved_count == 2452
+        assert len(outcomes) == 2 * len(all_terms)
 
 
 class TestTermDomination:

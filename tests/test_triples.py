@@ -1,5 +1,8 @@
 """Classification of homogeneous triples and the sweep by order type."""
 
+import itertools
+import math
+
 import pytest
 
 from intalg import algebra, homogeneity, terms, triples
@@ -14,7 +17,11 @@ from intalg.triples import (
     verify_triples,
 )
 
-from .triples_oracle import sweep_triples
+from .triples_oracle import hand_built_triple_types, sweep_triples
+
+
+def type_count(k, m):
+    return math.prod(j * m + 1 for j in range(k))
 
 
 def test_all_four_terms_nontrivial():
@@ -105,10 +112,6 @@ class TestSweep:
 
     def test_sweep_counts_match_direct_enumeration(self):
         """Recount the (p=4, k<=3) sweep with an independent nested loop."""
-        import itertools
-
-        from intalg import homogeneity
-
         total = 0
         for p in range(5):
             elements = []
@@ -145,7 +148,7 @@ class TestSweep:
         instances = [
             tuple(a.endpoints for a in triple)
             for m, starts in [(0, False), (0, True), (1, False), (1, True)]
-            for triple, _ in triples._order_types(m, starts)
+            for triple, _ in homogeneity.order_types(3, m, starts)
         ]
         assert report.counterexamples == tuple(instances)
         # the oracle lists every concrete triple but the empty order's
@@ -155,11 +158,23 @@ class TestSweep:
 class TestOrderTypes:
     @pytest.mark.parametrize("m", range(6))
     def test_instances_carry_their_ells(self, m):
+        # every arity with at most 1,100 types per shape: k <= 4 at every
+        # m, k = 5 at m <= 2 and k = 6 at m <= 1
+        for k in itertools.takewhile(lambda k: type_count(k, m) <= 1100, range(7)):
+            for starts in (False, True):
+                types = list(homogeneity.order_types(k, m, starts))
+                shape = (m + 2, starts, (m + starts) % 2 == 1)
+                for seq, ell in types:
+                    assert len(seq) == len(ell) == k
+                    assert {a.order_size for a in seq} <= {k * m + 1}
+                    assert {algebra.sigma_of(a).shape for a in seq} <= {shape}
+                    assert homogeneity.check_homogeneous(seq).ell == ell
+                instances = {tuple(a.endpoints for a in seq) for seq, _ in types}
+                assert len(instances) == len(types) == type_count(k, m), k
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_triples_in_the_hand_built_order(self, m):
+        # the k = 3 sequence fixes verify_triples' counterexample order
         for starts in (False, True):
-            types = list(triples._order_types(m, starts))
-            shape = (m + 2, starts, (m + starts) % 2 == 1)
-            for triple, ell in types:
-                assert {algebra.sigma_of(a).shape for a in triple} == {shape}
-                assert homogeneity.check_homogeneous(triple).ell == ell
-            distinct = {(ell[1][0], *ell[2]) for _, ell in types}
-            assert len(distinct) == len(types) == (m + 1) * (2 * m + 1)
+            got = list(homogeneity.order_types(3, m, starts))
+            assert got == list(hand_built_triple_types(m, starts))

@@ -4,11 +4,15 @@ It enumerates all 2^p elements of each order size p <= max_p, groups
 those with |sigma| <= max_k by Sigma shape, and classifies every triple
 of a group that nests pairwise, so its report is the one that
 triples.verify_triples must reproduce from one instance per order type.
+
+hand_built_triple_types is the triple-only enumerator that
+homogeneity.order_types replaced, with its ell rows written out by hand.
 """
 
 import itertools
 
 from intalg import algebra, homogeneity
+from intalg.algebra import NEG_INF, POS_INF, Element
 from intalg.triples import CASE_INTERIOR, SweepReport, _case_tag, _vanishing
 
 
@@ -51,3 +55,22 @@ def sweep_triples(max_p, max_k):
                         )
                     )
     return SweepReport(total, interior, boundary, tuple(counterexamples))
+
+
+def hand_built_triple_types(m, starts):
+    """(triple, ell) for one instance of each order type of homogeneous
+    triples whose members have m finite endpoints and start at -inf when
+    starts: a1's endpoints are a block in gap ell01 of a0, and a2's a block
+    in one of the 2m+1 slots of that merged list.  Each instance sits on
+    the points 1..3m of order 3m+1; ell is its HomogeneityReport.ell."""
+    head, tail = (NEG_INF,) * starts, (POS_INF,) * ((m + starts) % 2)
+    for ell01 in range(m + 1):
+        merged = [0] * ell01 + [1] * m + [0] * (m - ell01)
+        for slot in range(2 * m + 1):
+            labels = merged[:slot] + [2] * m + merged[slot:]
+            finite = [[], [], []]
+            for x, i in enumerate(labels, 1):
+                finite[i].append(x)
+            triple = [Element(3 * m + 1, head + tuple(f) + tail) for f in finite]
+            below = labels[:slot]
+            yield triple, [[], [ell01], [below.count(0), below.count(1)]]
