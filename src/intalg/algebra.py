@@ -21,11 +21,10 @@ per-endpoint work in C, and every result is still validated as an Element.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lt, sub
 
-from .errors import InputError
+from .errors import InputError, Value
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -56,19 +55,19 @@ def decode_endpoint(v) -> Endpoint:
     return v
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Value):
     """A member of B(I) in canonical form.
 
     endpoints has even length 2n and is strictly increasing; the denoted
     point set is the union of [endpoints[2i], endpoints[2i+1]) over i < n.
     """
 
-    order_size: int
-    endpoints: tuple
+    __slots__ = ("order_size", "endpoints")
 
-    def __post_init__(self):
-        p, eps = self.order_size, self.endpoints
+    def __init__(self, order_size: int, endpoints: tuple):
+        _set_order_size(self, order_size)
+        _set_endpoints(self, endpoints)
+        p, eps = order_size, endpoints
         if p < 0:
             raise InputError(f"negative order size {p}")
         if len(eps) % 2 != 0:
@@ -120,17 +119,32 @@ class Element:
         return cls(order_size, tuple(decode_endpoint(v) for v in data))
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(Value):
     """Endpoint data of an element: vec_sigma is its sorted endpoint set
     sigma, the canonical endpoints with -inf and +inf added, and n_a its
-    size.  shape holds what homogeneity compares outright: (n_a, whether
+    size.  span is its (least, greatest) finite endpoint, None if it has
+    none.  shape holds what homogeneity compares outright: (n_a, whether
     the element starts at -inf, whether it ends at +inf)."""
 
-    n_a: int
-    vec_sigma: tuple
-    span: tuple | None  # (least, greatest) finite endpoint, None if none
-    shape: tuple
+    __slots__ = ("n_a", "vec_sigma", "span", "shape")
+
+    def __init__(self, n_a: int, vec_sigma: tuple, span, shape: tuple):
+        _set_n_a(self, n_a)
+        _set_vec_sigma(self, vec_sigma)
+        _set_span(self, span)
+        _set_shape(self, shape)
+
+
+# The slots' own setters, which bypass Value.__setattr__: a partition-extract
+# pass builds about 59k Elements and 59k Sigmas, and these cost less per
+# field than object.__setattr__ (Element(40, (3, 9)) about 0.25 us less,
+# Python 3.11 on 2 shared cores).
+_set_order_size = Element.order_size.__set__
+_set_endpoints = Element.endpoints.__set__
+_set_n_a = Sigma.n_a.__set__
+_set_vec_sigma = Sigma.vec_sigma.__set__
+_set_span = Sigma.span.__set__
+_set_shape = Sigma.shape.__set__
 
 
 def empty(order_size: int) -> Element:

@@ -13,57 +13,64 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from . import algebra
 from .algebra import NEG_INF, POS_INF, Element
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Value
 from .product import Family
 
 MAX_CUT_CANDIDATES = 20
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """A failed homogeneity clause: 1 (sigma size), 2 (infinite-endpoint
     pattern) or 3 (no nesting gap), with the offending index pair."""
 
-    clause: int
-    pair: tuple
-    detail: str
+    __slots__ = ("clause", "pair", "detail")
+
+    def __init__(self, clause: int, pair: tuple, detail: str):
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"clause {self.clause} fails on pair {self.pair}"
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(Value):
     """ell[beta][alpha], for alpha < beta, is the least gap of member alpha
     holding member beta: one row per member, None unless ok."""
 
-    ok: bool
-    ell: list | None
-    violation: Violation | None = None
+    __slots__ = ("ok", "ell", "violation")
+
+    def __init__(self, ok: bool, ell: list | None, violation=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "violation", violation)
 
 
-@dataclass(frozen=True)
-class SemiHomogeneityReport:
-    ok: bool
-    cuts: tuple
-    segments: tuple  # per window [cuts[m], cuts[m+1]), up to the first failing one
+class SemiHomogeneityReport(Value):
+    """segments holds one HomogeneityReport per window [cuts[m], cuts[m+1]),
+    up to the first failing one."""
+
+    __slots__ = ("ok", "cuts", "segments")
+
+    def __init__(self, ok: bool, cuts: tuple, segments: tuple):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "segments", segments)
 
 
-@dataclass(frozen=True)
-class EllMatrix:
+class EllMatrix(Value):
     """Nesting witnesses for a per-coordinate homogeneous family.
 
     per_coordinate holds each coordinate's ell rows, in
-    HomogeneityReport.ell's layout; vectors[beta][alpha], for alpha < beta,
-    is the gap vector ell_vec(alpha, beta) across coordinates.
+    HomogeneityReport.ell's layout; vectors holds one list of gap vectors
+    per member: vectors[beta][alpha], for alpha < beta, is the gap vector
+    ell_vec(alpha, beta) across coordinates.
     """
 
-    per_coordinate: tuple  # one list of ell rows per coordinate
-    vectors: tuple  # one list of gap vectors per member beta
+    __slots__ = ("per_coordinate", "vectors")
 
     @classmethod
     def index(cls, per_coordinate, n: int) -> "EllMatrix":
@@ -253,8 +260,7 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
     return out
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Value):
     """The selected members (increasing indices into the family), one cut
     tuple per coordinate, and the nesting witnesses extraction proved on
     the way: the ell rows (HomogeneityReport.ell's layout) of each
@@ -262,10 +268,11 @@ class ExtractionResult:
     search.flatten's order, over positions in `indices`.  Like `log`,
     `ell` takes no part in equality."""
 
-    indices: tuple
-    parts: tuple  # one cut tuple per coordinate
-    ell: tuple = field(compare=False)
-    log: dict = field(compare=False, default_factory=dict)
+    __slots__ = ("indices", "parts", "ell", "log")
+    _uncompared = ("ell", "log")
+
+    def __init__(self, indices: tuple, parts: tuple, ell: tuple, log=None):
+        super().__init__(indices, parts, ell, {} if log is None else log)
 
 
 def _groups(sigmas) -> list:

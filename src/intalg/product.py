@@ -9,22 +9,21 @@ chosen members must have a nonzero meet in at least one coordinate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import algebra, terms
 from .algebra import Element
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Value
 
 MAX_INDEPENDENCE_ARITY = 16
 
 
-@dataclass(frozen=True)
-class Family:
-    kappa: int
-    order_sizes: tuple
-    members: tuple  # tuple of members, each a tuple of kappa Elements
+class Family(Value):
+    """members is a tuple of members, each a tuple of kappa Elements."""
 
-    def __post_init__(self):
+    __slots__ = ("kappa", "order_sizes", "members")
+
+    def __init__(self, kappa: int, order_sizes: tuple, members: tuple):
+        super().__init__(kappa, order_sizes, members)
         if self.kappa != len(self.order_sizes):
             raise InputError("kappa does not match order_sizes")
         for member in self.members:
@@ -111,13 +110,11 @@ def _check_family_shape(kappa, order_sizes, raw_members) -> None:
             )
 
 
-@dataclass(frozen=True)
-class DependenceWitness:
-    """A violated sign pattern, reported as the disjoint index sets."""
+class DependenceWitness(Value):
+    """A violated sign pattern, reported as the disjoint index sets: gamma
+    holds the positions taken plain, nabla those taken complemented."""
 
-    pattern: tuple
-    gamma: tuple  # positions taken plain
-    nabla: tuple  # positions taken complemented
+    __slots__ = ("pattern", "gamma", "nabla")
 
 
 def prod_eval(t: terms.Term, fam: Family, indices) -> list:

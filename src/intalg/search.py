@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 
 from . import algebra, homogeneity, terms
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Value
 from .homogeneity import EllMatrix
 from .product import Family
 
@@ -43,21 +42,20 @@ MAX_SEXTUPLE_CANDIDATES = 1_000_000
 MAX_QUADRUPLE_CANDIDATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class CoordinateEvidence:
-    zeta: int
-    empty: bool
-    ell: tuple
-    side: str | None
+class CoordinateEvidence(Value):
+    __slots__ = ("zeta", "empty", "ell", "side")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    indices: tuple
-    term: terms.Term
-    mode: str
-    per_coordinate: tuple
-    provenance: dict = field(compare=False, default_factory=dict)
+class Certificate(Value):
+    """per_coordinate holds one CoordinateEvidence per coordinate;
+    provenance takes no part in equality."""
+
+    __slots__ = ("indices", "term", "mode", "per_coordinate", "provenance")
+    _uncompared = ("provenance",)
+
+    def __init__(self, indices, term, mode, per_coordinate, provenance=None):
+        provenance = {} if provenance is None else provenance
+        super().__init__(indices, term, mode, per_coordinate, provenance)
 
     def to_dict(self) -> dict:
         return {
@@ -325,10 +323,8 @@ def find_quadruple(fam: Family) -> Certificate | None:
     return Certificate(idx, TERM_QUAD, "quadruple", evidence)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    certificate: Certificate | None
-    log: dict
+class PipelineResult(Value):
+    __slots__ = ("certificate", "log")
 
     @property
     def found(self) -> bool:
@@ -387,4 +383,5 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
     if cert is None:
         info["insufficient"] = info["pigeonhole"]
         return PipelineResult(None, info)
-    return PipelineResult(replace(cert, provenance=info), info)
+    cert = Certificate(cert.indices, cert.term, cert.mode, cert.per_coordinate, info)
+    return PipelineResult(cert, info)

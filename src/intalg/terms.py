@@ -14,11 +14,10 @@ when some sign vector satisfies it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import algebra
 from .algebra import Element
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Value
 
 MAX_TRUTH_TABLE_VARS = 20
 MAX_VAR_INDEX = 10**6
@@ -30,47 +29,39 @@ MAX_VAR_INDEX = 10**6
 MAX_TERM_DEPTH = 200
 
 
-class Term:
+class Term(Value):
+    __slots__ = ()
+
     def __str__(self):
         return render(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class SymDiff(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Compl(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
 ZERO = Zero()
@@ -82,12 +73,10 @@ _INFIX = {"+": (Join, 1), "^": (SymDiff, 2), "*": (Meet, 3)}
 _PRECEDENCE = {cls: (symbol, prec) for symbol, (cls, prec) in _INFIX.items()}
 
 
-@dataclass(frozen=True)
-class MintermSet:
+class MintermSet(Value):
     """Sign vectors on which a term evaluates to 1 in the free algebra."""
 
-    n: int
-    signs: frozenset
+    __slots__ = ("n", "signs")
 
 
 class ParseError(InputError):

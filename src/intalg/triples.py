@@ -10,10 +10,9 @@ the boundary of the sigma vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import algebra, homogeneity, terms
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, Value
 
 TRIPLE_TERMS = (
     terms.parse("x0*x1*-x2"),
@@ -31,11 +30,11 @@ MAX_SWEEP_ORDER = 10**6
 MAX_SWEEP_SIGMA = 6
 
 
-@dataclass(frozen=True)
-class TripleClassification:
-    vanishing: frozenset  # positions into TRIPLE_TERMS, nonempty
-    case_tag: str
-    ell: list  # the triple's HomogeneityReport.ell rows
+class TripleClassification(Value):
+    """vanishing holds positions into TRIPLE_TERMS, nonempty; ell holds the
+    triple's HomogeneityReport.ell rows."""
+
+    __slots__ = ("vanishing", "case_tag", "ell")
 
 
 def _case_tag(ell_12: int, n: int) -> str:
@@ -69,12 +68,8 @@ def classify_triple(a0, a1, a2) -> TripleClassification:
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    triples: int
-    interior: int
-    boundary: int
-    counterexamples: tuple
+class SweepReport(Value):
+    __slots__ = ("triples", "interior", "boundary", "counterexamples")
 
     def to_dict(self) -> dict:
         return {

@@ -707,10 +707,27 @@ def fresh_modules(module):
 def test_import_does_not_load_numpy():
     # each subcommand imports what only it runs; the package imports nothing
     loaded = fresh_modules("intalg.cli")
-    unused = {"numpy", "logging", "intalg.search", "intalg.homogeneity", "intalg.triples"}
+    unused = {
+        "numpy",
+        "logging",
+        "dataclasses",
+        "inspect",
+        "intalg.search",
+        "intalg.homogeneity",
+        "intalg.triples",
+    }
     assert not loaded & unused
     loaded = fresh_modules("intalg")
     assert {m for m in loaded if m.startswith("intalg.")} == {"intalg.errors"}
+
+
+def test_no_module_loads_dataclasses():
+    # the value classes are plain __slots__ classes (errors.Value); these
+    # imports load every intalg module
+    loaded = fresh_modules(
+        "intalg.cli, intalg.search, intalg.homogeneity, intalg.triples"
+    )
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestAtomicWrite:

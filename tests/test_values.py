@@ -1,0 +1,153 @@
+"""Value semantics of every intalg value class: equality over the compared
+fields, the hash of their tuple, immutability, a dataclass-style repr,
+defaults, and copy and pickle round trips."""
+
+import copy
+import pickle
+
+import pytest
+
+from intalg import algebra, homogeneity, product, search, terms, triples
+from intalg.algebra import NEG_INF, POS_INF, Element
+
+E, E2 = Element(40, (3, 9)), Element(40, (3, 10))
+X0, X1 = terms.Var(0), terms.Var(1)
+V = homogeneity.Violation(3, (0, 1), "no gap")
+R = homogeneity.HomogeneityReport(False, None, V)
+R2 = homogeneity.HomogeneityReport(True, [[], [0]])
+EV = search.CoordinateEvidence(0, True, (1,), "inside")
+EV2 = search.CoordinateEvidence(1, False, (0,), None)
+CERT = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"a": 1})
+
+# (class, field names, number of compared fields (they come first), field
+# values, other field values); the tests swap in one other value at a time
+CASES = [
+    (Element, ("order_size", "endpoints"), 2, (40, (3, 9)), (41, (NEG_INF, 9))),
+    (
+        algebra.Sigma,
+        ("n_a", "vec_sigma", "span", "shape"),
+        4,
+        (4, (NEG_INF, 3, 9, POS_INF), (3, 9), (4, False, False)),
+        (2, (NEG_INF, POS_INF), None, (2, True, True)),
+    ),
+    (homogeneity.Violation, ("clause", "pair", "detail"), 3, (3, (0, 1), "no gap"), (1, (0, 2), "size")),
+    (homogeneity.HomogeneityReport, ("ok", "ell", "violation"), 3, (False, None, V), (True, [[], [0]], None)),
+    (homogeneity.SemiHomogeneityReport, ("ok", "cuts", "segments"), 3, (False, (NEG_INF, 5, POS_INF), (R,)), (True, (NEG_INF, POS_INF), (R2,))),
+    (homogeneity.EllMatrix, ("per_coordinate", "vectors"), 2, (((), ((0,),)), ((), ((0,),))), ([[], [1]], [[], [(1,)]])),
+    (
+        homogeneity.ExtractionResult,
+        ("indices", "parts", "ell", "log"),
+        2,
+        ((0, 1), ((NEG_INF, POS_INF),), ([[], [0]],), {"strategy": "greedy-nesting"}),
+        ((0, 2), ((NEG_INF, 5, POS_INF),), ([[], [1]],), {"strategy": "empty"}),
+    ),
+    (product.Family, ("kappa", "order_sizes", "members"), 3, (1, (40,), ((E,),)), (1, (40,), ((E2,),))),
+    (product.Family, ("kappa", "order_sizes", "members"), 3, (1, (40,), ()), (1, (41,), ())),
+    (product.DependenceWitness, ("pattern", "gamma", "nabla"), 3, ((1, 0), (0,), (1,)), ((0, 1), (1,), (0,))),
+    (terms.Var, ("index",), 1, (0,), (1,)),
+    (terms.Zero, (), 0, (), ()),
+    (terms.One, (), 0, (), ()),
+    (terms.Meet, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
+    (terms.Join, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
+    (terms.SymDiff, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
+    (terms.Compl, ("arg",), 1, (X0,), (terms.ZERO,)),
+    (terms.MintermSet, ("n", "signs"), 2, (2, frozenset({(1, 0)})), (3, frozenset())),
+    (search.CoordinateEvidence, ("zeta", "empty", "ell", "side"), 4, (0, True, (1,), "inside"), (1, False, (0,), None)),
+    (
+        search.Certificate,
+        ("indices", "term", "mode", "per_coordinate", "provenance"),
+        4,
+        ((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"a": 1}),
+        ((1, 2, 3, 4), search.TERM_SHORT, "short", (EV2,), {"b": [2]}),
+    ),
+    (search.PipelineResult, ("certificate", "log"), 2, (CERT, {"mode": "short"}), (None, {"mode": "symmetric"})),
+    (
+        triples.TripleClassification,
+        ("vanishing", "case_tag", "ell"),
+        3,
+        (frozenset({0}), triples.CASE_INTERIOR, [[], [0], [0, 1]]),
+        (frozenset({2, 3}), triples.CASE_BOUNDARY, [[], [1], [1, 0]]),
+    ),
+    (triples.SweepReport, ("triples", "interior", "boundary", "counterexamples"), 4, (10, 6, 4, ()), (11, 7, 3, (((3,), (4,), (5,)),))),
+]
+
+IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
+
+
+def test_every_value_class_is_covered():
+    assert len({case[0] for case in CASES}) == 22
+
+
+def hash_or_type_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, names, compared, values, others", CASES, ids=IDS)
+class TestValueSemantics:
+    def test_fields(self, cls, names, compared, values, others):
+        x = cls(*values)
+        assert [getattr(x, f) for f in names] == list(values)
+
+    def test_equality_reads_the_compared_fields(self, cls, names, compared, values, others):
+        x = cls(*values)
+        assert x == cls(*values) and not x != cls(*values)
+        assert x != (*values,) and x != object()
+        for i in range(len(names)):
+            if others[i] == values[i]:
+                continue
+            changed = cls(*values[:i], others[i], *values[i + 1 :])
+            if i < compared:
+                assert x != changed and not x == changed
+            else:
+                assert x == changed
+                assert hash_or_type_error(x) == hash_or_type_error(changed)
+
+    def test_hash_is_the_hash_of_the_compared_fields(self, cls, names, compared, values, others):
+        for vals in (values, others):
+            x = cls(*vals)
+            expected = hash_or_type_error(tuple(vals[:compared]))
+            assert hash_or_type_error(x) == expected
+
+    def test_frozen(self, cls, names, compared, values, others):
+        x = cls(*values)
+        for f in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, f, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        assert [getattr(x, f) for f in names] == list(values)
+        assert not hasattr(x, "__dict__")
+
+    def test_repr(self, cls, names, compared, values, others):
+        x = cls(*values)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
+        assert repr(x) == f"{cls.__name__}({fields})"
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal(self, cls, names, compared, values, others, duplicate):
+        x = cls(*values)
+        y = duplicate(x)
+        assert type(y) is cls and y == x
+        assert [getattr(y, f) for f in names] == list(values)
+
+
+def test_element_repr():
+    assert repr(Element(40, (3, 9))) == "Element(order_size=40, endpoints=(3, 9))"
+
+
+def test_defaults():
+    assert homogeneity.HomogeneityReport(True, [[], [0]]).violation is None
+    parts = ((NEG_INF, POS_INF),)
+    a = homogeneity.ExtractionResult((0,), parts, ([[]],))
+    b = homogeneity.ExtractionResult((0,), parts, ([[]],))
+    assert a.log == {} and b.log == {} and a.log is not b.log
+    c = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,))
+    d = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,))
+    assert c.provenance == {} and d.provenance == {} and c.provenance is not d.provenance
