@@ -84,7 +84,8 @@ def _load_family(path: str) -> product.Family:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON and bad UTF-8; RecursionError, deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read family file {path}: {exc}") from exc
     return product.Family.from_dict(data)
 
@@ -112,10 +113,13 @@ def gen_random_family(
     for _ in range(N):
         member = []
         for p in order_sizes:
-            pool = [algebra.NEG_INF, *range(1, p), algebra.POS_INF]
+            # sample draws indices from the pool's length alone, so the pool
+            # -inf, 1, ..., p - 1, +inf is never built: index i stands for
+            # i, except 0 for -inf and p for +inf
             count = rng.randint(0, max_intervals)
-            eps = tuple(sorted(rng.sample(pool, 2 * count)))
-            member.append(algebra.Element(p, eps))
+            picks = sorted(rng.sample(range(p + 1), 2 * count))
+            ends = {0: algebra.NEG_INF, p: algebra.POS_INF}
+            member.append(algebra.Element(p, tuple(ends.get(i, i) for i in picks)))
         members.append(tuple(member))
     return product.Family(kappa, order_sizes, tuple(members))
 

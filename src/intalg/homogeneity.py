@@ -1,11 +1,11 @@
 """Homogeneous and semi-homogeneous families of interval-algebra elements.
 
-A sequence is homogeneous when all members share one Sigma shape (sigma
-size and pattern of infinite endpoints), and every later member's finite
-endpoints sit strictly inside a single gap of each earlier member.  The
-gap index witnessing the nesting for a pair (alpha, beta) is the ell
-value; the bundle of all ell values over a product family is an
-EllMatrix.
+A sequence is homogeneous when all members share one shape (sigma size
+and pattern of infinite endpoints, algebra.sigma_of), and every later
+member's finite endpoints sit strictly inside a single gap of each
+earlier member.  The gap index witnessing the nesting for a pair
+(alpha, beta) is the ell value; the bundle of all ell values over a
+product family is an EllMatrix.
 """
 
 from __future__ import annotations
@@ -90,39 +90,41 @@ class EllMatrix(Value):
         return self.vectors[beta][alpha]
 
 
-def nesting_gap(vec_alpha: tuple, span) -> int | None:
-    """Least ell with vec_alpha[ell] < s < vec_alpha[ell+1] for every
-    finite endpoint s of beta, given beta's Sigma.span, or None; ell
-    defaults to 0 when beta has no finite endpoints.
+def _nesting_row(chain, finite) -> list | None:
+    """The ell row of a member with the given finite endpoints against a
+    chain of earlier members' finite endpoints, or None when it nests in
+    no single gap of one of them.
 
-    The rule: beta nests in a gap of alpha exactly when no endpoint of
-    alpha lies in [lo, hi], that is when the first one at or above lo lies
-    above hi; the endpoints below lo, less -inf, count the gap's index."""
-    if span is None:
-        return 0
-    lo, hi = span
-    ell = bisect_left(vec_alpha, lo)
-    return ell - 1 if hi < vec_alpha[ell] else None
+    The rule: a member whose finite endpoints span [lo, hi] nests in a gap
+    of an earlier member exactly when none of the earlier one's finite
+    endpoints lies in [lo, hi], that is when as many lie below lo
+    (bisect_left) as at or below hi (bisect_right); that count is the
+    gap's index.  Members of one shape either all have finite endpoints or
+    none has: a row of 0s."""
+    lo, hi = (finite[0], finite[-1]) if finite else (0, 0)
+    row = list(map(bisect_left, chain, itertools.repeat(lo)))
+    return row if row == list(map(bisect_right, chain, itertools.repeat(hi))) else None
 
 
 def check_homogeneous(seq) -> HomogeneityReport:
     sigmas = [algebra.sigma_of(a) for a in seq]
-    for i, sig in enumerate(sigmas):
-        if sig.n_a != sigmas[0].n_a:
-            detail = f"|sigma| {sig.n_a} != {sigmas[0].n_a}"
+    shapes = [shape for shape, _ in sigmas]
+    for i, shape in enumerate(shapes):
+        if shape[0] != shapes[0][0]:
+            detail = f"|sigma| {shape[0]} != {shapes[0][0]}"
             return HomogeneityReport(False, None, Violation(1, (0, i), detail))
-    for i, sig in enumerate(sigmas):  # equal n_a: shapes differ in clause 2
-        if sig.shape != sigmas[0].shape:
+    for i, shape in enumerate(shapes):  # equal n_a: shapes differ in clause 2
+        if shape != shapes[0]:
             detail = "infinite-endpoint patterns differ"
             return HomogeneityReport(False, None, Violation(2, (0, i), detail))
-    ell = [[] for _ in sigmas]
-    # alpha-major, so that a violation names the least failing pair
-    for alpha, beta in itertools.combinations(range(len(sigmas)), 2):
-        gap = nesting_gap(sigmas[alpha].vec_sigma, sigmas[beta].span)
-        if gap is None:
-            detail = "no single gap contains the later endpoints"
-            return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
-        ell[beta].append(gap)
+    finites = [finite for _, finite in sigmas]
+    ell = [_nesting_row(finites[:beta], f) for beta, f in enumerate(finites)]
+    if None in ell:  # alpha-major, so that a violation names the least failing pair
+        for alpha, beta in itertools.combinations(range(len(finites)), 2):
+            if _nesting_row(finites[alpha : alpha + 1], finites[beta]) is None:
+                detail = "no single gap contains the later endpoints"
+                violation = Violation(3, (alpha, beta), detail)
+                return HomogeneityReport(False, None, violation)
     return HomogeneityReport(True, ell)
 
 
@@ -211,13 +213,10 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
     if p < 0:
         raise InputError(f"negative order size {p}")
     m = k - 2
-    if m == 0:
-        return [algebra.empty(p) for _ in range(N)]
-    if N * m >= p:
+    if m and N * m >= p:
         raise CapacityError(
             f"order size {p} cannot nest {N} levels of {m} endpoints"
         )
-    rng = random.Random(seed)
     if gap_pool is not None and gap_choices is not None:
         raise InputError("gap_pool and gap_choices are mutually exclusive")
     if gap_pool is not None:
@@ -233,6 +232,9 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
         for g in gap_pool:
             if not 0 <= g <= m:
                 raise InputError(f"gap index {g} out of range 0..{m}")
+    if m == 0:
+        return [algebra.empty(p) for _ in range(N)]
+    rng = random.Random(seed)
     out = []
     lo, hi = 0, p  # usable interior values are lo+1 .. hi-1
     for level in range(N):
@@ -278,7 +280,7 @@ class ExtractionResult(Value):
 def _groups(sigmas) -> list:
     groups = {}
     for alpha, member_sigmas in enumerate(sigmas):
-        key = tuple(sig.shape for sig in member_sigmas)
+        key = tuple(shape for shape, _ in member_sigmas)
         groups.setdefault(key, []).append(alpha)
     return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
@@ -287,30 +289,23 @@ def _greedy_nested(sigmas, group, start: int) -> tuple:
     """Members of group from position start on, each taken when it nests
     in every one taken before it, with the witnesses: per coordinate, the
     ell rows (HomogeneityReport.ell's layout) over positions in the
-    selection.
-
-    nesting_gap's rule, applied to the whole selection at once: per
-    coordinate, chain holds the finite endpoints of every member taken, and
-    none of them lies in beta's [lo, hi] when as many lie below lo
-    (bisect_left) as at or below hi (bisect_right), member by member; that
-    row of counts is the ells.  The group shares one shape, so a beta
-    without finite endpoints meets chains of empty tuples: a row of 0s."""
+    selection.  Per coordinate, chain holds the finite endpoints of every
+    member taken, and _nesting_row tests a candidate against all at once."""
     first = group[start]
     chosen = [first]
-    chains = [[sig.vec_sigma[1:-1]] for sig in sigmas[first]]
+    chains = [[finite] for _, finite in sigmas[first]]
     ell = tuple([[]] for _ in chains)
     for beta in group[start + 1 :]:
         rows = []
-        for chain, sig in zip(chains, sigmas[beta]):
-            lo, hi = sig.span or (0, 0)
-            row = list(map(bisect_left, chain, itertools.repeat(lo)))
-            if row != list(map(bisect_right, chain, itertools.repeat(hi))):
+        for chain, (_, finite) in zip(chains, sigmas[beta]):
+            row = _nesting_row(chain, finite)
+            if row is None:
                 break
             rows.append(row)
         else:  # beta nests in every chosen member, in every coordinate
             for ell_rows, row, chain, sig in zip(ell, rows, chains, sigmas[beta]):
                 ell_rows.append(row)
-                chain.append(sig.vec_sigma[1:-1])
+                chain.append(sig[1])
             chosen.append(beta)
     return chosen, ell
 
@@ -322,7 +317,7 @@ def _trivial_parts(kappa: int) -> tuple:
 def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     """Select a subfamily that is semi-homogeneous in every coordinate.
 
-    Members are first grouped by their Sigma shapes, one per coordinate;
+    Members are first grouped by their shapes, one per coordinate;
     within the largest group a shared partitioning set is tried first,
     then greedy nesting selection (best over all starting positions and
     groups).  The result carries the nesting witnesses of

@@ -92,11 +92,9 @@ def ell_matrix(fam: Family) -> EllMatrix:
 def gap_side(fam: Family, zeta: int, alpha: int, ell: int) -> str:
     """Whether gap ell of member alpha (in coordinate zeta) lies inside
     or outside the member; canonicity forbids anything in between."""
-    a = fam.members[alpha][zeta]
-    sig = algebra.sigma_of(a)
-    if not 0 <= ell < sig.n_a - 1:
-        raise InputError(f"gap index {ell} out of range for |sigma|={sig.n_a}")
-    starts_inside = a.endpoints[:1] == (algebra.NEG_INF,)
+    (n_a, starts_inside, _), _ = algebra.sigma_of(fam.members[alpha][zeta])
+    if not 0 <= ell < n_a - 1:
+        raise InputError(f"gap index {ell} out of range for |sigma|={n_a}")
     inside = (ell + starts_inside) % 2 == 1
     return INSIDE if inside else OUTSIDE
 

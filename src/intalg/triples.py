@@ -62,7 +62,7 @@ def classify_triple(a0, a1, a2) -> TripleClassification:
             f"internal consistency failure: no term vanishes on "
             f"{a0.endpoints}, {a1.endpoints}, {a2.endpoints}"
         )
-    n = algebra.sigma_of(a0).n_a
+    (n, _, _), _ = algebra.sigma_of(a0)
     return TripleClassification(
         vanishing, _case_tag(report.ell[2][1], n), report.ell
     )

@@ -1,18 +1,68 @@
-"""Reference extractor: the largest per-coordinate homogeneous subfamily,
-by trying every index subset, largest first.
+"""Pairwise homogeneity references.
 
-It returns the lexicographically least among the largest subsets, the
-yardstick for homogeneity.extract_semi_homogeneous.  The per-pair greedy
-selection is kept here too, as the reference for the extractor's
-whole-chain rows.
+nesting_gap is the clause-3 rule for one pair of members, one bisect per
+pair, and pairwise_check_homogeneous the homogeneity check built on it
+pair by pair: the yardsticks for homogeneity._nesting_row's whole-chain
+rows in check_homogeneous.  The per-pair greedy selection is kept here
+too, as the reference for the extractor's greedy path.
+
+exhaustive_max_homogeneous is the reference extractor: the largest
+per-coordinate homogeneous subfamily, by trying every index subset,
+largest first.  It returns the lexicographically least among the largest
+subsets, the yardstick for homogeneity.extract_semi_homogeneous.
 """
 
 import itertools
+from bisect import bisect_left
 
+from intalg.algebra import NEG_INF, POS_INF, sigma_of
 from intalg.errors import CapacityError
-from intalg.homogeneity import check_homogeneous, nesting_gap
+from intalg.homogeneity import HomogeneityReport, Violation, check_homogeneous
 
 EXHAUSTIVE_ORACLE_CAP = 12
+
+
+def vec_sigma(a) -> tuple:
+    """a's endpoint set sigma: its finite endpoints with -inf and +inf."""
+    _, finite = sigma_of(a)
+    return (NEG_INF, *finite, POS_INF)
+
+
+def nesting_gap(finite_alpha: tuple, finite_beta: tuple) -> int | None:
+    """Least ell with vec[ell] < s < vec[ell+1] for every finite endpoint s
+    of beta, where vec is alpha's finite endpoints with -inf and +inf, or
+    None; ell defaults to 0 when beta has no finite endpoints.
+
+    beta nests in a gap of alpha exactly when no endpoint of alpha lies in
+    beta's span [lo, hi], that is when the first one at or above lo lies
+    above hi; the endpoints below lo, less -inf, count the gap's index."""
+    if not finite_beta:
+        return 0
+    vec = (NEG_INF, *finite_alpha, POS_INF)
+    ell = bisect_left(vec, finite_beta[0])
+    return ell - 1 if finite_beta[-1] < vec[ell] else None
+
+
+def pairwise_check_homogeneous(seq) -> HomogeneityReport:
+    """check_homogeneous with one nesting_gap call per pair, in alpha-major
+    order, so that a violation names the least failing pair."""
+    sigmas = [sigma_of(a) for a in seq]
+    for i, (shape, _) in enumerate(sigmas):
+        if shape[0] != sigmas[0][0][0]:
+            detail = f"|sigma| {shape[0]} != {sigmas[0][0][0]}"
+            return HomogeneityReport(False, None, Violation(1, (0, i), detail))
+    for i, (shape, _) in enumerate(sigmas):
+        if shape != sigmas[0][0]:
+            detail = "infinite-endpoint patterns differ"
+            return HomogeneityReport(False, None, Violation(2, (0, i), detail))
+    ell = [[] for _ in sigmas]
+    for alpha, beta in itertools.combinations(range(len(sigmas)), 2):
+        gap = nesting_gap(sigmas[alpha][1], sigmas[beta][1])
+        if gap is None:
+            detail = "no single gap contains the later endpoints"
+            return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
+        ell[beta].append(gap)
+    return HomogeneityReport(True, ell)
 
 
 def exhaustive_max_homogeneous(fam):
@@ -37,8 +87,8 @@ def pairwise_greedy_nested(sigmas, group, start):
     ell = tuple([[]] for _ in sigmas[group[start]])
     for beta in group[start + 1 :]:
         rows = []
-        for zeta, sig in enumerate(sigmas[beta]):
-            row = [nesting_gap(sigmas[a][zeta].vec_sigma, sig.span) for a in chosen]
+        for zeta, (_, finite) in enumerate(sigmas[beta]):
+            row = [nesting_gap(sigmas[a][zeta][1], finite) for a in chosen]
             if None in row:
                 break
             rows.append(row)

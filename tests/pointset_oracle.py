@@ -61,8 +61,8 @@ def all_elements(p):
 
 def oracle_gap_side(a, ell):
     """Inside/outside of gap ell by direct point enumeration."""
-    sig = algebra.sigma_of(a)
-    lo, hi = sig.vec_sigma[ell], sig.vec_sigma[ell + 1]
+    _, finite = algebra.sigma_of(a)
+    lo, hi = (NEG_INF, *finite, POS_INF)[ell : ell + 2]
     lo_clip = 0 if lo == NEG_INF else int(lo)
     hi_clip = a.order_size if hi == POS_INF else int(hi)
     gap = set(range(lo_clip, hi_clip))

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from intalg.product import Family
 from intalg.terms import MAX_TERM_DEPTH
 from intalg.triples import MAX_SWEEP_ORDER
 
+from .homogeneity_oracle import nesting_gap
 from .triples_oracle import sweep_triples
 
 # the src/ directory this intalg came from, for fresh interpreters
@@ -40,6 +42,22 @@ def run(capsys, *argv):
 
 def write_family(path, fam):
     path.write_text(json.dumps(fam.to_dict()))
+
+
+def pool_random_family(seed, kappa, order_sizes, N, max_intervals):
+    """Reference for cli.gen_random_family: sample from the endpoint pool
+    itself, built in full for every member and coordinate."""
+    rng = random.Random(seed)
+    members = []
+    for _ in range(N):
+        member = []
+        for p in order_sizes:
+            pool = [algebra.NEG_INF, *range(1, p), algebra.POS_INF]
+            count = rng.randint(0, max_intervals)
+            eps = tuple(sorted(rng.sample(pool, 2 * count)))
+            member.append(algebra.Element(p, eps))
+        members.append(tuple(member))
+    return Family(kappa, tuple(order_sizes), tuple(members))
 
 
 def nested_family_file(tmp_path, seed=7, kappa=1, p=64, n=9, k=4):
@@ -157,10 +175,9 @@ class TestHomog:
         report = json.loads(out)
         assert report["homogeneous"] is True
         # every pair once, in (alpha, beta) order, with its nesting gap
-        sigmas = [algebra.sigma_of(a) for a in seq]
-        gap = homogeneity.nesting_gap
+        finites = [algebra.sigma_of(a)[1] for a in seq]
         want = [
-            [alpha, beta, gap(sigmas[alpha].vec_sigma, sigmas[beta].span)]
+            [alpha, beta, nesting_gap(finites[alpha], finites[beta])]
             for alpha, beta in itertools.combinations(range(len(seq)), 2)
         ]
         assert report["coordinates"][0]["ell"] == want
@@ -181,7 +198,11 @@ class TestHomog:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["homogeneous"] is False
-        assert report["coordinates"][0]["violation"]["clause"] == 3
+        assert report["coordinates"][0]["violation"] == {
+            "clause": 3,
+            "pair": [0, 1],
+            "detail": "no single gap contains the later endpoints",
+        }
 
     @pytest.mark.parametrize(
         "data",
@@ -498,6 +519,26 @@ class TestGen:
         with pytest.raises(CapacityError):
             cli.gen_random_family(0, 1, (5,), 3, 4)
 
+    def test_random_matches_pool_reference(self):
+        # small pools take sample's list branch, large ones its set branch
+        order_grid = [(2,), (8, 3), (20,), (40,), (1024, 64)]
+        grid = itertools.product(range(8), order_grid, [0, 1, 7], [0, 1, 3])
+        checked = 0
+        for seed, orders, n, max_intervals in grid:
+            if max_intervals * 2 + 2 > min(orders):
+                continue
+            args = (seed, len(orders), orders, n, max_intervals)
+            assert cli.gen_random_family(*args) == pool_random_family(*args)
+            checked += 1
+        assert checked > 250
+
+    def test_random_at_a_huge_order_size(self):
+        # a pool of 10**9 + 1 endpoints would take gigabytes and seconds
+        start = time.perf_counter()
+        fam = cli.gen_random_family(3, 2, (10**9, 10**9), 4, 3)
+        assert time.perf_counter() - start < 1
+        assert len(fam) == 4 and fam.order_sizes == (10**9, 10**9)
+
 
 class TestRobustness:
     @pytest.mark.parametrize(
@@ -526,6 +567,13 @@ class TestRobustness:
               "--count", "2", "--max-intervals", "1"], "InputError"),
             (["gen", "homog", "--seed", "0", "--kappa", "2", "--orders=-5,3",
               "--count", "2", "--sigma-size", "3"], "InputError"),
+            # the gap pool is checked at |sigma| = 2 too, with no endpoint to nest
+            (["gen", "homog", "--seed", "0", "--orders", "32", "--count", "4",
+              "--sigma-size", "2", "--gap-pool", "5"], "InputError"),
+            (["gen", "homog", "--seed", "0", "--orders", "32", "--count", "4",
+              "--sigma-size", "2", "--gap-pool", ""], "InputError"),
+            (["gen", "homog", "--seed", "0", "--orders", "32", "--count", "4",
+              "--sigma-size", "3", "--gap-pool", "5"], "InputError"),
         ],
     )
     def test_bad_input_exits_2_with_record(self, capsys, tmp_path, argv, error):
@@ -579,6 +627,27 @@ class TestRobustness:
         assert json.loads(first[2])["message"].startswith(f"cannot write {target}:")
         leftovers = [p.name for p in tmp_path.rglob(".intalg-*")]
         assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe"],
+        ids=["deeply-nested", "not-utf8"],
+    )
+    def test_unreadable_family_file_exits_2(self, tmp_path, content):
+        path = tmp_path / "fam.json"
+        path.write_bytes(content)
+        argv = ["homog", "check", "--family", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "intalg.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_INPUT_ERROR and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        record = json.loads(proc.stderr)
+        assert record["error"] == "InputError"
+        assert record["message"].startswith(f"cannot read family file {path}: ")
 
     def test_crash_exits_3_with_record(self, capsys, monkeypatch):
         def crash(*args):

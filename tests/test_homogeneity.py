@@ -1,8 +1,11 @@
 """Homogeneity checks, partitioning sets, generators and the extractor."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intalg import algebra, homogeneity
 from intalg.algebra import NEG_INF, POS_INF, Element
@@ -17,7 +20,12 @@ from intalg.homogeneity import (
 from intalg.product import Family
 
 from .conftest import random_element
-from .homogeneity_oracle import exhaustive_max_homogeneous
+from .homogeneity_oracle import (
+    exhaustive_max_homogeneous,
+    nesting_gap,
+    pairwise_check_homogeneous,
+    vec_sigma,
+)
 from .pointset_oracle import oracle_points
 
 
@@ -93,22 +101,104 @@ class TestCheckHomogeneous:
             assert [len(row) for row in report.ell] == list(range(len(seq)))
             for beta, row in enumerate(report.ell):
                 for alpha, ell in enumerate(row):
-                    vec = algebra.sigma_of(seq[alpha]).vec_sigma
-                    assert ell == gap_scan(vec, seq[beta])
+                    assert ell == gap_scan(vec_sigma(seq[alpha]), seq[beta])
 
     def test_nesting_gap_matches_gap_scan_oracle(self):
         # random pairs, so that nesting also fails (None) and beta may
-        # have no finite endpoints (span None)
+        # have no finite endpoints
         rng = random.Random(14)
         outcomes = set()
         for _ in range(2000):
             p = rng.randint(0, 10)
             a, b = random_element(rng, p), random_element(rng, p)
-            vec = algebra.sigma_of(a).vec_sigma
-            got = homogeneity.nesting_gap(vec, algebra.sigma_of(b).span)
-            assert got == gap_scan(vec, b)
+            got = nesting_gap(algebra.sigma_of(a)[1], algebra.sigma_of(b)[1])
+            assert got == gap_scan(vec_sigma(a), b)
             outcomes.add(got is None)
         assert outcomes == {True, False}
+
+
+def perturbed_nest(seed, n, k, redraw, any_shape):
+    """A seeded homogeneous nest of n members with |sigma| = k, with up to
+    `redraw` of them replaced at random: by members of the same shape, so
+    that clause 3 decides, or with any_shape by any element or by the
+    member's complement, which keeps |sigma| but not the pattern."""
+    rng = random.Random(seed)
+    m = k - 2
+    p = (n + 1) * m + rng.randint(1, 12)
+    seq = gen_homogeneous(rng.randrange(2**32), p, n, k)
+    for i in rng.sample(range(n), min(redraw, n)):
+        if any_shape:
+            seq[i] = rng.choice([random_element(rng, p), ~seq[i]])
+        else:  # gen_homogeneous's shape: -inf first when m is odd
+            finite = tuple(sorted(rng.sample(range(1, p), m)))
+            seq[i] = Element(p, (NEG_INF,) * (m % 2) + finite)
+    return seq
+
+
+# the failing sequences that tests in this file and test_triples.py check
+FAILING_SEQUENCES = [
+    [Element(9, (1, 3)), Element(9, (2, 5))],
+    [Element(200, e) for e in [(1, 100), (10, 20), (15, 30), (50, 150)]],
+    [Element(9, (1, 3)), algebra.empty(9)],
+    [Element(9, (NEG_INF, 3)), Element(9, (4, POS_INF))],
+    [Element(9, (2, 5)), Element(9, (1, 8))],
+    [Element(9, (1, 3)), Element(9, (2, 5)), Element(9, (3, 4))],
+    [
+        algebra.empty(40) if i == 2 else algebra.full(40) if i == 4 else a
+        for i, a in enumerate(gen_homogeneous(7, 40, 6, 4))
+    ],
+]
+
+
+class TestNestingRowsMatchPairwiseOracle:
+    """check_homogeneous's one nesting row per member gives the whole
+    report, violation included, that nesting_gap pair by pair does."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 7),
+        st.integers(2, 6),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_sequences(self, seed, n, k, redraw, any_shape):
+        seq = perturbed_nest(seed, n, k, redraw, any_shape)
+        assert check_homogeneous(seq) == pairwise_check_homogeneous(seq)
+
+    def test_seeded_sequences_reach_every_outcome(self):
+        outcomes = collections.Counter()
+        for seed in range(600):
+            rng = random.Random(seed)
+            n, k, redraw = rng.randint(0, 7), rng.randint(2, 6), rng.randint(0, 3)
+            seq = perturbed_nest(seed, n, k, redraw, rng.random() < 0.3)
+            report = check_homogeneous(seq)
+            assert report == pairwise_check_homogeneous(seq)
+            v = report.violation
+            # (3, True): the least failing pair does not start at member 0
+            outcomes[v and (v.clause, v.pair[0] > 0)] += 1
+        assert outcomes[None] >= 50
+        for outcome in [(1, False), (2, False), (3, False), (3, True)]:
+            assert outcomes[outcome] >= 20, outcomes
+
+    @pytest.mark.parametrize("starts", [False, True])
+    @pytest.mark.parametrize("m", range(4))
+    def test_order_type_instances(self, m, starts):
+        # every instance nests; reversed, most do not
+        failures = 0
+        for k in range(5):
+            for seq, ell in homogeneity.order_types(k, m, starts):
+                assert check_homogeneous(seq) == pairwise_check_homogeneous(seq)
+                assert check_homogeneous(seq).ell == ell
+                report = check_homogeneous(seq[::-1])
+                assert report == pairwise_check_homogeneous(seq[::-1])
+                failures += not report.ok
+        assert failures > 0 or m <= 1  # one endpoint nests anywhere
+
+    @pytest.mark.parametrize("seq", FAILING_SEQUENCES)
+    def test_failing_sequences(self, seq):
+        report = check_homogeneous(seq)
+        assert not report.ok and report == pairwise_check_homogeneous(seq)
 
 
 class TestSemiHomogeneous:
@@ -219,11 +309,10 @@ def is_A_partition(C, a: Element, A) -> bool:
         raise InputError("cut set not contained in the marker set")
     if not {NEG_INF, POS_INF} <= C:
         return False
-    sig = algebra.sigma_of(a)
-    if not (set(sig.vec_sigma) & A) <= C:
+    vec = vec_sigma(a)
+    if not (set(vec) & A) <= C:
         return False
-    vec = sig.vec_sigma
-    for ell in range(sig.n_a - 1):
+    for ell in range(len(vec) - 1):
         gap_a = {x for x in A if vec[ell] < x < vec[ell + 1]}
         if gap_a and not any(vec[ell] < c < vec[ell + 1] for c in C):
             return False
@@ -258,12 +347,12 @@ class TestAPartition:
 class TestGenHomogeneous:
     def test_single_member(self):
         (a,) = gen_homogeneous(0, 10, 1, 4)
-        assert algebra.sigma_of(a).n_a == 4
+        assert algebra.sigma_of(a)[0][0] == 4
 
     def test_seeded_nest(self):
         seq = gen_homogeneous(3, 64, 4, 4)
         assert len(seq) == 4
-        assert all(algebra.sigma_of(a).n_a == 4 for a in seq)
+        assert all(algebra.sigma_of(a)[0][0] == 4 for a in seq)
         assert check_homogeneous(seq).ok
 
     def test_capacity(self):
@@ -279,7 +368,7 @@ class TestGenHomogeneous:
         seq = gen_homogeneous(seed, 48, 5, k)
         report = check_homogeneous(seq)
         assert report.ok
-        assert all(algebra.sigma_of(a).n_a == k for a in seq)
+        assert all(algebra.sigma_of(a)[0][0] == k for a in seq)
 
     def test_gap_choices_pin_the_ell_values(self):
         choices = [0, 2, 1, 0, 2]
@@ -291,6 +380,30 @@ class TestGenHomogeneous:
     def test_gap_pool_and_choices_exclusive(self):
         with pytest.raises(InputError):
             gen_homogeneous(0, 64, 3, 4, gap_pool=[0], gap_choices=[0, 0, 0])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "gaps",
+        [
+            {"gap_pool": [0], "gap_choices": [0, 0, 0]},
+            {"gap_pool": []},
+            {"gap_pool": [5]},
+            {"gap_pool": [-1]},
+            {"gap_choices": [0, 0]},
+            {"gap_choices": [0, 0, 7]},
+        ],
+    )
+    def test_gaps_checked_at_every_sigma_size(self, k, gaps):
+        # |sigma| = 2 leaves no finite endpoint to nest, but the gap
+        # arguments are checked all the same
+        with pytest.raises(InputError):
+            gen_homogeneous(0, 64, 3, k, **gaps)
+
+    def test_sigma_size_2_takes_gap_0(self):
+        empties = [algebra.empty(16)] * 3
+        assert gen_homogeneous(0, 16, 3, 2, gap_pool=[0]) == empties
+        assert gen_homogeneous(0, 16, 3, 2, gap_choices=[0, 0, 0]) == empties
+        assert gen_homogeneous(0, 0, 3, 2) == [algebra.empty(0)] * 3
 
 
 class TestExtract:

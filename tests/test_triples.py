@@ -76,7 +76,7 @@ class TestClassify:
         a1 = Element(40, (10, 20, 25, 30))
         a2 = Element(40, (12, 14, 16, 18))
         c = classify_triple(a0, a1, a2)
-        n = algebra.sigma_of(a0).n_a
+        (n, _, _), _ = algebra.sigma_of(a0)
         ell = c.ell[2][1]
         assert (c.case_tag == CASE_INTERIOR) == (ell != 0 and ell + 1 != n - 1)
 
@@ -119,7 +119,7 @@ class TestSweep:
                 a = algebra.from_point_set(
                     p, [i for i in range(p) if bits >> i & 1]
                 )
-                if algebra.sigma_of(a).n_a <= 3:
+                if algebra.sigma_of(a)[0][0] <= 3:
                     elements.append(a)
             for trio in itertools.product(elements, repeat=3):
                 if homogeneity.check_homogeneous(list(trio)).ok:
@@ -167,7 +167,7 @@ class TestOrderTypes:
                 for seq, ell in types:
                     assert len(seq) == len(ell) == k
                     assert {a.order_size for a in seq} <= {k * m + 1}
-                    assert {algebra.sigma_of(a).shape for a in seq} <= {shape}
+                    assert {algebra.sigma_of(a)[0] for a in seq} <= {shape}
                     assert homogeneity.check_homogeneous(seq).ell == ell
                 instances = {tuple(a.endpoints for a in seq) for seq, _ in types}
                 assert len(instances) == len(types) == type_count(k, m), k

@@ -23,13 +23,7 @@ CERT = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"
 # values, other field values); the tests swap in one other value at a time
 CASES = [
     (Element, ("order_size", "endpoints"), 2, (40, (3, 9)), (41, (NEG_INF, 9))),
-    (
-        algebra.Sigma,
-        ("n_a", "vec_sigma", "span", "shape"),
-        4,
-        (4, (NEG_INF, 3, 9, POS_INF), (3, 9), (4, False, False)),
-        (2, (NEG_INF, POS_INF), None, (2, True, True)),
-    ),
+    (Element, ("order_size", "endpoints"), 2, (5, ()), (3, (NEG_INF, POS_INF))),
     (homogeneity.Violation, ("clause", "pair", "detail"), 3, (3, (0, 1), "no gap"), (1, (0, 2), "size")),
     (homogeneity.HomogeneityReport, ("ok", "ell", "violation"), 3, (False, None, V), (True, [[], [0]], None)),
     (homogeneity.SemiHomogeneityReport, ("ok", "cuts", "segments"), 3, (False, (NEG_INF, 5, POS_INF), (R,)), (True, (NEG_INF, POS_INF), (R2,))),
@@ -75,7 +69,17 @@ IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
 
 
 def test_every_value_class_is_covered():
-    assert len({case[0] for case in CASES}) == 22
+    assert len({case[0] for case in CASES}) == 21
+
+
+def test_sigma_of_is_a_plain_tuple():
+    # no value class: (shape, finite) compares, hashes and pickles as the
+    # tuple it is
+    sig = algebra.sigma_of(E)
+    assert type(sig) is tuple and sig == ((4, False, False), (3, 9))
+    assert hash(sig) == hash(((4, False, False), (3, 9)))
+    assert sig != algebra.sigma_of(E2) == ((4, False, False), (3, 10))
+    assert pickle.loads(pickle.dumps(sig)) == sig
 
 
 def hash_or_type_error(value):

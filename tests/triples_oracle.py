@@ -1,9 +1,10 @@
 """Reference Lemma 16 sweep: every element of every order size.
 
 It enumerates all 2^p elements of each order size p <= max_p, groups
-those with |sigma| <= max_k by Sigma shape, and classifies every triple
-of a group that nests pairwise, so its report is the one that
-triples.verify_triples must reproduce from one instance per order type.
+those with |sigma| <= max_k by shape (algebra.sigma_of), and classifies
+every triple of a group that nests pairwise, by the pairwise nesting_gap
+oracle, so its report is the one that triples.verify_triples must
+reproduce from one instance per order type.
 
 hand_built_triple_types is the triple-only enumerator that
 homogeneity.order_types replaced, with its ell rows written out by hand.
@@ -11,9 +12,11 @@ homogeneity.order_types replaced, with its ell rows written out by hand.
 
 import itertools
 
-from intalg import algebra, homogeneity
+from intalg import algebra
 from intalg.algebra import NEG_INF, POS_INF, Element
 from intalg.triples import CASE_INTERIOR, SweepReport, _case_tag, _vanishing
+
+from .homogeneity_oracle import nesting_gap
 
 
 def _all_elements(p):
@@ -25,19 +28,16 @@ def sweep_triples(max_p, max_k):
     total = interior = boundary = 0
     counterexamples = []
     for p in range(max_p + 1):
-        groups = {}  # clauses 1 and 2: one group per Sigma shape
+        groups = {}  # clauses 1 and 2: one group per shape
         for a in _all_elements(p):
-            sig = algebra.sigma_of(a)
-            if sig.n_a <= max_k:
-                groups.setdefault(sig.shape, []).append((a, sig))
+            shape, finite = algebra.sigma_of(a)
+            if shape[0] <= max_k:
+                groups.setdefault(shape, []).append((a, finite))
         for (n, _, _), group in groups.items():
             members = [a for a, _ in group]
             size = len(members)
             # pairwise nesting gaps; None marks a clause-3 failure
-            gap = [
-                [homogeneity.nesting_gap(si.vec_sigma, sj.span) for _, sj in group]
-                for _, si in group
-            ]
+            gap = [[nesting_gap(fi, fj) for _, fj in group] for _, fi in group]
             for i, j, k in itertools.product(range(size), repeat=3):
                 if gap[i][j] is None or gap[i][k] is None or gap[j][k] is None:
                     continue
