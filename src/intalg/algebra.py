@@ -96,9 +96,6 @@ class Element(Value):
     def is_empty(self) -> bool:
         return not self.endpoints
 
-    def is_full(self) -> bool:
-        return self.endpoints == (NEG_INF, POS_INF)
-
     def __and__(self, other):
         return meet(self, other)
 

@@ -118,14 +118,19 @@ def check_homogeneous(seq) -> HomogeneityReport:
             detail = "infinite-endpoint patterns differ"
             return HomogeneityReport(False, None, Violation(2, (0, i), detail))
     finites = [finite for _, finite in sigmas]
-    ell = [_nesting_row(finites[:beta], f) for beta, f in enumerate(finites)]
-    if None in ell:  # alpha-major, so that a violation names the least failing pair
-        for alpha, beta in itertools.combinations(range(len(finites)), 2):
-            if _nesting_row(finites[alpha : alpha + 1], finites[beta]) is None:
-                detail = "no single gap contains the later endpoints"
-                violation = Violation(3, (alpha, beta), detail)
-                return HomogeneityReport(False, None, violation)
-    return HomogeneityReport(True, ell)
+    ell = []
+    for beta, f in enumerate(finites):
+        ell.append(_nesting_row(finites[:beta], f))
+        if ell[-1] is None:
+            break
+    else:
+        return HomogeneityReport(True, ell)
+    # alpha-major over all pairs, so that the violation names the least
+    # failing pair, which may lie past the first failing row
+    for alpha, beta in itertools.combinations(range(len(finites)), 2):
+        if _nesting_row(finites[alpha : alpha + 1], finites[beta]) is None:
+            detail = "no single gap contains the later endpoints"
+            return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
 
 
 def order_types(k: int, m: int, starts: bool):
@@ -213,7 +218,7 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
     if p < 0:
         raise InputError(f"negative order size {p}")
     m = k - 2
-    if m and N * m >= p:
+    if m and N and N * m >= p:
         raise CapacityError(
             f"order size {p} cannot nest {N} levels of {m} endpoints"
         )

@@ -10,15 +10,12 @@ before it is returned.
 from __future__ import annotations
 
 import itertools
-import logging
 from bisect import bisect_right
 
 from . import algebra, homogeneity, terms
 from .errors import CapacityError, InputError, Value
 from .homogeneity import EllMatrix
 from .product import Family
-
-log = logging.getLogger(__name__)
 
 TERM_SHORT = terms.parse("x0*x1*-x2*-x3*x4*-x5")
 TERM_SYMMETRIC = terms.parse("(x0^x1)*x2*(x3^x4)*-x5")
@@ -243,7 +240,6 @@ def find_sextuple(
                             if decide(idx):
                                 evidence = _evidence(fam, per_coordinate, idx, pairs)
                                 return Certificate(idx, term, mode, evidence)
-                            log.debug("%s-mode candidate %s does not vanish", mode, idx)
     return None
 
 

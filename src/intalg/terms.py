@@ -6,25 +6,23 @@ Grammar (precedence: unary '-' > '*' > '^' > '+', as in _INFIX):
     atom := '-' atom | '(' term ')' | var | '0' | '1'
     var  := 'x' digit+
 
-Nontriviality is decided by truth-table enumeration in the two-element
-algebra: a term is nonzero in some algebra under some assignment exactly
-when some sign vector satisfies it.
+evaluate is the one evaluator.  A term is nonzero in some Boolean algebra
+exactly when it is nonzero in the two-element algebra, which is B(I) at
+order size 1, so nontriviality needs no truth table: evaluate the term at
+order size 1 under each 0/1 assignment.
 """
 
 from __future__ import annotations
 
-import operator
-
 from . import algebra
 from .algebra import Element
-from .errors import CapacityError, InputError, Value
+from .errors import InputError, Value
 
-MAX_TRUTH_TABLE_VARS = 20
 MAX_VAR_INDEX = 10**6
 # Bounds both the open '(' plus stacked '-' at any point of a term and the
 # height of its tree in operators.  The parser spends two stack frames per
-# '(' and one per '-', and render, evaluate, num_vars and minterms one per
-# operator level, so a term at this depth needs about 400 frames: well
+# '(' and one per '-', and render, evaluate and num_vars one per operator
+# level, so a term at this depth needs about 400 frames: well
 # inside Python's default recursion limit of 1000, with room for callers.
 MAX_TERM_DEPTH = 200
 
@@ -71,12 +69,6 @@ ONE = One()
 _INFIX = {"+": (Join, 1), "^": (SymDiff, 2), "*": (Meet, 3)}
 # the same table by node class, for render and num_vars
 _PRECEDENCE = {cls: (symbol, prec) for symbol, (cls, prec) in _INFIX.items()}
-
-
-class MintermSet(Value):
-    """Sign vectors on which a term evaluates to 1 in the free algebra."""
-
-    __slots__ = ("n", "signs")
 
 
 class ParseError(InputError):
@@ -171,27 +163,6 @@ def parse(text: str) -> Term:
     return t
 
 
-def _fold(t: Term, var, const, compl, binary: dict):
-    """The value of t, bottom-up: var(index) at a Var, const(False) at Zero,
-    const(True) at One, compl(value) at a Compl and binary[type(t)](left,
-    right) at a Meet, Join or SymDiff.  Other nodes raise InputError.  (As
-    folds, render and num_vars measured slower than their own walks.)"""
-    kind = type(t)
-    if kind is Var:
-        return var(t.index)
-    op = binary.get(kind)
-    if op is not None:
-        return op(
-            _fold(t.left, var, const, compl, binary),
-            _fold(t.right, var, const, compl, binary),
-        )
-    if kind is Compl:
-        return compl(_fold(t.arg, var, const, compl, binary))
-    if kind is Zero or kind is One:
-        return const(kind is One)
-    raise InputError(f"unknown term node {t!r}")
-
-
 def render(t: Term) -> str:
     """Emit t with minimal parentheses; parse(render(t)) == t."""
     kind = type(t)
@@ -243,47 +214,23 @@ def evaluate(t: Term, assignment, order_size: int | None = None) -> Element:
         raise InputError(
             f"term uses {num_vars(t)} variables, got {len(assignment)}"
         )
-    # the element operations are looked up per call, so that a rebinding of
-    # algebra.meet and the rest (perfbench's tracer does it) takes effect
-    return _fold(
-        t,
-        assignment.__getitem__,
-        lambda bit: (algebra.full if bit else algebra.empty)(order_size),
-        algebra.complement,
-        {Meet: algebra.meet, Join: algebra.join, SymDiff: algebra.symdiff},
-    )
+    return _evaluate(t, assignment, order_size)
 
 
-def minterms(t: Term, n: int) -> MintermSet:
-    """Truth table of t over n variables; sign vector bit i is x_i."""
-    if n > MAX_TRUTH_TABLE_VARS:
-        raise CapacityError(f"{n} variables exceed cap {MAX_TRUTH_TABLE_VARS}")
-    if n < num_vars(t):
-        raise InputError(f"term uses {num_vars(t)} variables, n={n}")
-    # Truth table as an int: bit r is row r, in which x_i is bit n-1-i of r.
-    ones = (1 << (1 << n)) - 1
-
-    def var(index: int) -> int:
-        # blocks of 2^k zeros then 2^k ones, repeated, for k = n-1-index
-        k = n - 1 - index
-        return ones // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
-
-    table = _fold(
-        t,
-        var,
-        lambda bit: ones if bit else 0,
-        lambda value: ones ^ value,
-        {Meet: operator.and_, Join: operator.or_, SymDiff: operator.xor},
-    )
-    bits = bin(table)[:1:-1]  # bits[r] is row r
-    signs = frozenset(
-        tuple(r >> (n - 1 - i) & 1 for i in range(n))
-        for r, bit in enumerate(bits)
-        if bit == "1"
-    )
-    return MintermSet(n, signs)
-
-
-def is_nontrivial(t: Term) -> bool:
-    """True iff some assignment in some Boolean algebra makes t nonzero."""
-    return bool(minterms(t, num_vars(t)).signs)
+def _evaluate(t: Term, assignment: list, order_size: int) -> Element:
+    """evaluate's walk, once evaluate has checked t and the assignment.
+    The element operations are looked up per node, so that a rebinding of
+    algebra.meet and the rest (perfbench's tracer does it) takes effect."""
+    kind = type(t)
+    if kind is Var:
+        return assignment[t.index]
+    if kind in _PRECEDENCE:
+        left = _evaluate(t.left, assignment, order_size)
+        right = _evaluate(t.right, assignment, order_size)
+        if kind is Meet:
+            return algebra.meet(left, right)
+        return (algebra.join if kind is Join else algebra.symdiff)(left, right)
+    if kind is Compl:
+        return algebra.complement(_evaluate(t.arg, assignment, order_size))
+    # Zero or One: num_vars has rejected every other node
+    return (algebra.full if kind is One else algebra.empty)(order_size)

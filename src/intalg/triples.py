@@ -1,10 +1,11 @@
 """Case analysis for homogeneous triples.
 
 Four fixed nontrivial terms have the property that on every homogeneous
-triple (a0, a1, a2) at least one of them evaluates to zero.  The
-vanishing set is always computed by direct evaluation; the case tag only
-records whether the nesting gap of a2 inside a1 is interior or touches
-the boundary of the sigma vector.
+triple (a0, a1, a2) at least one of them evaluates to zero.
+verify_triples checks this on one instance per order type of homogeneous
+triples.  The vanishing set of an instance is always computed by direct
+evaluation; its case tag only records whether the nesting gap of a2
+inside a1 is interior or touches the boundary of the sigma vector.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ MAX_SWEEP_ORDER = 10**6
 MAX_SWEEP_SIGMA = 6
 
 
-class TripleClassification(Value):
-    """vanishing holds positions into TRIPLE_TERMS, nonempty; ell holds the
-    triple's HomogeneityReport.ell rows."""
-
-    __slots__ = ("vanishing", "case_tag", "ell")
-
-
 def _case_tag(ell_12: int, n: int) -> str:
     if ell_12 != 0 and ell_12 + 1 != n - 1:
         return CASE_INTERIOR
@@ -49,22 +43,6 @@ def _vanishing(a0, a1, a2) -> frozenset:
         i
         for i, t in enumerate(TRIPLE_TERMS)
         if terms.evaluate(t, triple).is_empty()
-    )
-
-
-def classify_triple(a0, a1, a2) -> TripleClassification:
-    report = homogeneity.check_homogeneous([a0, a1, a2])
-    if not report.ok:
-        raise InputError(f"triple is not homogeneous: {report.violation}")
-    vanishing = _vanishing(a0, a1, a2)
-    if not vanishing:
-        raise AssertionError(
-            f"internal consistency failure: no term vanishes on "
-            f"{a0.endpoints}, {a1.endpoints}, {a2.endpoints}"
-        )
-    (n, _, _), _ = algebra.sigma_of(a0)
-    return TripleClassification(
-        vanishing, _case_tag(report.ell[2][1], n), report.ell
     )
 
 

@@ -6,7 +6,9 @@ never sees this representation, so agreement between the two is a real
 cross-check rather than a tautology.
 """
 
-from intalg import algebra
+import itertools
+
+from intalg import algebra, terms
 from intalg.algebra import NEG_INF, POS_INF
 
 
@@ -51,6 +53,49 @@ def oracle_restrict(a, lo, hi):
     return frozenset(
         x - lo_clip for x in oracle_points(a) if lo_clip <= x < hi_clip
     )
+
+
+BINARY_SET_OPS = {
+    terms.Meet: frozenset.__and__,
+    terms.Join: frozenset.__or__,
+    terms.SymDiff: frozenset.__xor__,
+}
+
+
+def oracle_term(t, points, order_size):
+    """Point set of term t over {0..order_size-1} when x_i is the point set
+    points[i], by set operations; it shares no code with terms.evaluate."""
+    if isinstance(t, terms.Var):
+        return frozenset(points[t.index])
+    if isinstance(t, terms.Zero):
+        return frozenset()
+    if isinstance(t, terms.One):
+        return frozenset(range(order_size))
+    if isinstance(t, terms.Compl):
+        return frozenset(range(order_size)) - oracle_term(t.arg, points, order_size)
+    for cls, op in BINARY_SET_OPS.items():
+        if isinstance(t, cls):
+            return op(
+                oracle_term(t.left, points, order_size),
+                oracle_term(t.right, points, order_size),
+            )
+    raise AssertionError(f"unknown term node {t!r}")
+
+
+def oracle_minterms(t, n):
+    """The sign vectors s in {0,1}^n at which t is 1 in the two-element
+    algebra: the order of size 1, with x_i the point set {0} when s[i]."""
+    return frozenset(
+        signs
+        for signs in itertools.product((0, 1), repeat=n)
+        if oracle_term(t, [range(s) for s in signs], 1)
+    )
+
+
+def oracle_is_nontrivial(t):
+    """Whether t is nonzero under some assignment in some Boolean algebra,
+    which holds exactly when it is nonzero in the two-element one."""
+    return bool(oracle_minterms(t, terms.num_vars(t)))
 
 
 def all_elements(p):

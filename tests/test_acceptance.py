@@ -31,7 +31,7 @@ from intalg.search import (
 )
 
 from .conftest import random_element
-from .pointset_oracle import all_elements, oracle_points
+from .pointset_oracle import all_elements, oracle_is_nontrivial, oracle_points
 
 
 def report(name):
@@ -254,13 +254,15 @@ def test_independence_suite():
 
 
 def test_nontriviality_of_headline_terms():
-    """The fixed search terms are nontrivial; t*(-t) never is."""
-    for t in (*triples.TRIPLE_TERMS, TERM_SHORT, TERM_SYMMETRIC):
-        assert terms.is_nontrivial(t)
+    """The fixed search terms are nontrivial; t*(-t) never is.  Both are
+    read in the two-element algebra, by the point-set evaluator at order
+    size 1."""
+    for t in (*triples.TRIPLE_TERMS, TERM_SHORT, TERM_SYMMETRIC, TERM_QUAD):
+        assert oracle_is_nontrivial(t)
     from .test_terms import random_term
 
     rng = random.Random(404)
     for _ in range(100):
         t = random_term(rng, 4, 5)
-        assert not terms.is_nontrivial(terms.Meet(t, terms.Compl(t)))
-    report("nontriviality: 6/6 headline terms true, 100/100 t*(-t) false")
+        assert not oracle_is_nontrivial(terms.Meet(t, terms.Compl(t)))
+    report("nontriviality: 7/7 headline terms true, 100/100 t*(-t) false")

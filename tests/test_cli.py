@@ -470,6 +470,17 @@ class TestGen:
         assert code == EXIT_INPUT_ERROR
         assert json.loads(err)["error"] == "CapacityError"
 
+    @pytest.mark.parametrize("order", ["0", "5"])
+    def test_homog_empty_family_at_any_order(self, capsys, order):
+        # no member needs room: the capacity test does not apply at N = 0
+        code, out, err = run(
+            capsys, "gen", "homog", "--seed", "0", "--orders", order,
+            "--count", "0", "--sigma-size", "4",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        expected = {"elements": [], "kappa": 1, "order_sizes": [int(order)], "seed": 0}
+        assert json.loads(out) == expected
+
     def test_random_validates_and_round_trips(self, capsys, tmp_path):
         out_path = tmp_path / "fam.json"
         code, _, _ = run(
@@ -791,12 +802,16 @@ def test_import_does_not_load_numpy():
 
 
 def test_no_module_loads_dataclasses():
-    # the value classes are plain __slots__ classes (errors.Value); these
-    # imports load every intalg module
+    # the value classes are plain __slots__ classes (errors.Value), and no
+    # module logs; these imports load every intalg module
     loaded = fresh_modules(
         "intalg.cli, intalg.search, intalg.homogeneity, intalg.triples"
     )
-    assert not loaded & {"dataclasses", "inspect"}
+    assert {m for m in loaded if m.startswith("intalg.")} >= {
+        "intalg.algebra", "intalg.cli", "intalg.errors", "intalg.homogeneity",
+        "intalg.product", "intalg.search", "intalg.terms", "intalg.triples",
+    }
+    assert not loaded & {"dataclasses", "inspect", "logging"}
 
 
 class TestAtomicWrite:

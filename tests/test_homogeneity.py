@@ -1,6 +1,7 @@
 """Homogeneity checks, partitioning sets, generators and the extractor."""
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -200,6 +201,39 @@ class TestNestingRowsMatchPairwiseOracle:
         report = check_homogeneous(seq)
         assert not report.ok and report == pairwise_check_homogeneous(seq)
 
+    def test_rows_stop_at_the_first_failing_member(self, monkeypatch):
+        # seeded nests with same-shape members redrawn, so that clause 3
+        # decides: a failing report is the oracle's, and no nesting row is
+        # built past the first member that nests in no gap of an earlier
+        # one before the alpha-major scan runs up to the least failing pair
+        calls = []
+        nesting_row = homogeneity._nesting_row
+
+        def counted(chain, finite):
+            calls.append(chain)
+            return nesting_row(chain, finite)
+
+        monkeypatch.setattr(homogeneity, "_nesting_row", counted)
+        failed = later = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            n, k = rng.randint(2, 7), rng.randint(3, 6)
+            seq = perturbed_nest(seed, n, k, rng.randint(1, 3), False)
+            calls.clear()
+            report = check_homogeneous(seq)
+            assert report == pairwise_check_homogeneous(seq)
+            if report.ok:
+                continue
+            finites = [algebra.sigma_of(a)[1] for a in seq]
+            pairs = list(itertools.combinations(range(n), 2))
+            failing = [b for a, b in pairs if nesting_gap(finites[a], finites[b]) is None]
+            first = min(failing)
+            scanned = pairs.index(report.violation.pair) + 1
+            assert len(calls) == first + 1 + scanned
+            failed += 1
+            later += first < n - 1
+        assert failed >= 100 and later >= 50
+
 
 class TestSemiHomogeneous:
     def test_trivial_parts_reduce_to_homogeneous(self):
@@ -358,6 +392,15 @@ class TestGenHomogeneous:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             gen_homogeneous(0, 8, 4, 4)  # N*(k-2) = 8 >= p
+
+    @pytest.mark.parametrize("p", [0, 5])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_empty_family_at_any_order(self, p, k):
+        # no member needs room, but one member at order 0 still does
+        assert gen_homogeneous(0, p, 0, k) == []
+        assert gen_homogeneous(0, p, 0, k, gap_choices=[]) == []
+        with pytest.raises(CapacityError, match="cannot nest 1 levels"):
+            gen_homogeneous(0, 0, 1, k)
 
     def test_deterministic(self):
         assert gen_homogeneous(9, 40, 4, 5) == gen_homogeneous(9, 40, 4, 5)

@@ -1,4 +1,7 @@
-"""Parser, renderer, evaluator and the free-algebra (minterm) semantics."""
+"""Parser, renderer and evaluator.  evaluate is checked against the
+point-set term evaluator of tests/pointset_oracle.py, and at order size 1,
+the two-element algebra, it reads off a term's minterms: the sign vectors
+on which the term is 1, none exactly when the term is trivial."""
 
 import contextlib
 import itertools
@@ -26,7 +29,12 @@ from intalg.terms import (
 )
 
 from .conftest import random_element
-from .pointset_oracle import oracle_points
+from .pointset_oracle import (
+    oracle_is_nontrivial,
+    oracle_minterms,
+    oracle_points,
+    oracle_term,
+)
 
 
 class TestParse:
@@ -83,7 +91,6 @@ class TestParse:
         assert terms.parse(terms.render(t)) == t
         terms.evaluate(t, [algebra.full(3)] * 2)
         assert terms.num_vars(t) == (2 if "x1" in open_ else 1)
-        terms.minterms(t, 2)
         with pytest.raises(terms.ParseError, match="nested deeper"):
             terms.parse("(" + text + ")")
 
@@ -96,7 +103,6 @@ class TestParse:
             assert terms.render(t) == text
             terms.evaluate(t, [algebra.full(3)])
             assert terms.num_vars(t) == 1
-            terms.minterms(t, 1)
         with pytest.raises(terms.ParseError, match="operators high") as exc:
             terms.parse(text + op + "x0 ")
         # '*' is built as soon as its operand ends; '^' and '+' only once
@@ -184,11 +190,10 @@ class Foreign(terms.Term):
     "call",
     [
         lambda t: terms.evaluate(t, [algebra.full(3)]),
-        lambda t: terms.minterms(t, 1),
         terms.num_vars,
         terms.render,
     ],
-    ids=["evaluate", "minterms", "num_vars", "render"],
+    ids=["evaluate", "num_vars", "render"],
 )
 @pytest.mark.parametrize(
     "wrap", [lambda u: u, lambda u: Meet(Var(0), Compl(u))], ids=["root", "inner"]
@@ -237,62 +242,83 @@ class TestEvaluate:
         assert terms.evaluate(ONE, [], order_size=4) == algebra.full(4)
 
 
+def two_element_minterms(t, n):
+    """The sign vectors s in {0,1}^n at which evaluate gives the full element
+    of order size 1 (x_i full when s[i], else empty); the others give the
+    empty element."""
+    out = set()
+    for signs in itertools.product((0, 1), repeat=n):
+        assignment = [algebra.full(1) if s else algebra.empty(1) for s in signs]
+        value = terms.evaluate(t, assignment, order_size=1)
+        assert value in (algebra.full(1), algebra.empty(1))
+        if value == algebra.full(1):
+            out.add(signs)
+    return out
+
+
 class TestMinterms:
     def test_contradiction(self):
-        assert terms.minterms(terms.parse("x0*-x0"), 1).signs == frozenset()
+        assert two_element_minterms(terms.parse("x0*-x0"), 1) == set()
 
     def test_single_variable(self):
-        assert terms.minterms(terms.parse("x0"), 2).signs == {(1, 0), (1, 1)}
+        assert two_element_minterms(terms.parse("x0"), 2) == {(1, 0), (1, 1)}
 
     def test_six_variable_product_single_minterm(self):
-        m = terms.minterms(terms.parse("x0*x1*-x2*-x3*x4*-x5"), 6)
-        assert m.signs == {(1, 1, 0, 0, 1, 0)}
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            terms.minterms(ZERO, 21)
-        with pytest.raises(InputError):
-            terms.minterms(terms.parse("x3"), 2)
+        signs = two_element_minterms(terms.parse("x0*x1*-x2*-x3*x4*-x5"), 6)
+        assert signs == {(1, 1, 0, 0, 1, 0)}
 
 
 class TestNontrivial:
     def test_examples(self):
-        assert not terms.is_nontrivial(terms.parse("x0 ^ x0"))
-        assert terms.is_nontrivial(terms.parse("x0*x1*-x2*-x3*x4*-x5"))
-        assert terms.is_nontrivial(terms.parse("x1*x2"))
+        assert not oracle_is_nontrivial(terms.parse("x0 ^ x0"))
+        assert oracle_is_nontrivial(terms.parse("x0*x1*-x2*-x3*x4*-x5"))
+        assert oracle_is_nontrivial(terms.parse("x1*x2"))
 
     def test_monotonicity_random_pairs(self):
+        # t*u <= t <= t+u: a nontrivial meet has nontrivial meetands, and
+        # a join of a nontrivial term is nontrivial
         rng = random.Random(5)
         for _ in range(200):
             t, u = random_term(rng, 4, 4), random_term(rng, 4, 4)
             n = max(terms.num_vars(t), terms.num_vars(u))
-            mt, mu = terms.minterms(t, n).signs, terms.minterms(u, n).signs
-            if mt >= mu and mu:
-                assert terms.is_nontrivial(t)
+            mt, mu = two_element_minterms(t, n), two_element_minterms(u, n)
+            assert two_element_minterms(Meet(t, u), n) == mt & mu
+            assert two_element_minterms(Join(t, u), n) == mt | mu
+            if mt & mu:
+                assert oracle_is_nontrivial(t) and oracle_is_nontrivial(u)
+            if mt:
+                assert oracle_is_nontrivial(Join(t, u))
+
+    def test_nonzero_on_free_generators_iff_nontrivial(self):
+        # member i of the bit family at order 2^n holds the points with bit
+        # i set: the family is independent, so a term is nonzero on it
+        # exactly when it is nonzero somewhere
+        rng = random.Random(23)
+        for _ in range(200):
+            t = random_term(rng, 4, 4)
+            n = terms.num_vars(t)
+            p = 1 << n
+            bits = [
+                algebra.from_point_set(p, [x for x in range(p) if x >> i & 1])
+                for i in range(n)
+            ]
+            value = terms.evaluate(t, bits, order_size=p)
+            assert (not value.is_empty()) == oracle_is_nontrivial(t)
 
 
-def _minterm_eval(t, assignment, order_size):
-    """Join over the term's minterms of the matching sign products."""
-    n = len(assignment)
-    acc = algebra.empty(order_size)
-    for signs in terms.minterms(t, n).signs:
-        prod = algebra.full(order_size)
-        for a, s in zip(assignment, signs):
-            prod = algebra.meet(prod, a if s else algebra.complement(a))
-        acc = algebra.join(acc, prod)
-    return acc
-
-
-def test_free_algebra_soundness_500_pairs():
+def test_evaluate_matches_pointset_oracle_500_pairs():
     rng = random.Random(97)
+    sizes = set()
     for _ in range(500):
         p = rng.randint(0, 12)
+        sizes.add(p)
         t = random_term(rng, 4, 4)
         n = max(terms.num_vars(t), 1)
         assignment = [random_element(rng, p) for _ in range(n)]
-        assert terms.evaluate(t, assignment, order_size=p) == _minterm_eval(
-            t, assignment, p
-        )
+        points = [oracle_points(a) for a in assignment]
+        value = terms.evaluate(t, assignment, order_size=p)
+        assert oracle_points(value) == oracle_term(t, points, p)
+    assert 0 in sizes
 
 
 @given(st.integers(min_value=0, max_value=10**4))
@@ -311,12 +337,7 @@ def test_hypothesis_minterms_match_two_element_evaluation(seed, extra):
     # order size 1 is the two-element algebra: x_i -> full when sign i is 1
     t = random_term(random.Random(seed), 4, 5)
     n = terms.num_vars(t) + extra
-    signs = terms.minterms(t, n).signs
-    for vector in itertools.product((0, 1), repeat=n):
-        assignment = [algebra.full(1) if s else algebra.empty(1) for s in vector]
-        value = terms.evaluate(t, assignment, order_size=1)
-        assert value.is_full() == (vector in signs)
-        assert value.is_full() or value.is_empty()
+    assert two_element_minterms(t, n) == oracle_minterms(t, n)
 
 
 @given(

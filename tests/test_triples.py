@@ -1,4 +1,9 @@
-"""Classification of homogeneous triples and the sweep by order type."""
+"""Classification of homogeneous triples and the sweep by order type.
+
+A triple is classified as verify_triples classifies a type's instance:
+check_homogeneous gives its ells, triples._vanishing the positions of the
+TRIPLE_TERMS that vanish on it, and triples._case_tag reads the case off
+the ell of its last pair."""
 
 import itertools
 import math
@@ -13,10 +18,10 @@ from intalg.triples import (
     CASE_INTERIOR,
     MAX_SWEEP_ORDER,
     TRIPLE_TERMS,
-    classify_triple,
     verify_triples,
 )
 
+from .pointset_oracle import oracle_is_nontrivial, oracle_points, oracle_term
 from .triples_oracle import hand_built_triple_types, sweep_triples
 
 
@@ -26,59 +31,49 @@ def type_count(k, m):
 
 def test_all_four_terms_nontrivial():
     for t in TRIPLE_TERMS:
-        assert terms.is_nontrivial(t)
+        assert oracle_is_nontrivial(t)
 
 
 class TestClassify:
     def test_nested_interval_triple(self):
-        a0 = Element(12, (1, 11))
-        a1 = Element(12, (3, 9))
-        a2 = Element(12, (5, 7))
-        c = classify_triple(a0, a1, a2)
-        assert c.vanishing == {1}  # only -x0*-x1*x2 vanishes
-        assert c.case_tag == CASE_INTERIOR
-        # cross-check by direct evaluation of all four terms
+        triple = [Element(12, (1, 11)), Element(12, (3, 9)), Element(12, (5, 7))]
+        assert homogeneity.check_homogeneous(triple).ell == [[], [1], [1, 1]]
+        assert triples._case_tag(1, 4) == CASE_INTERIOR
+        vanishing = triples._vanishing(*triple)
+        assert vanishing == {1}  # only -x0*-x1*x2 vanishes
+        # cross-check against the point-set evaluator
+        points = [oracle_points(a) for a in triple]
         for i, t in enumerate(TRIPLE_TERMS):
-            value = terms.evaluate(t, [a0, a1, a2])
-            assert value.is_empty() == (i in c.vanishing)
+            assert (not oracle_term(t, points, 12)) == (i in vanishing)
 
     def test_repeated_member_vanishing(self):
         # a repeated member kills both x*x*(-x)-shaped terms; the all-empty
         # triple is the homogeneous instance of that degenerate shape
         e = algebra.empty(6)
-        c = classify_triple(e, e, e)
-        assert {0, 1} <= set(c.vanishing)
+        assert homogeneity.check_homogeneous([e, e, e]).ok
+        assert {0, 1} <= triples._vanishing(e, e, e)
 
     def test_boundary_case(self):
         # a2's endpoints inside a1's first gap (below every endpoint of a1)
-        a0 = Element(20, (8, 18))
-        a1 = Element(20, (9, 16))
-        a2 = Element(20, (10, 12))
-        assert classify_triple(a0, a1, a2).case_tag == CASE_INTERIOR
-        b0 = Element(20, (1, 18))
-        b1 = Element(20, (8, 16))
-        b2 = Element(20, (2, 5))
-        c = classify_triple(b0, b1, b2)
-        assert c.ell[2][1] == 0
-        assert c.case_tag == CASE_BOUNDARY
-        assert c.vanishing
-
-    def test_non_homogeneous_rejected(self):
-        message = r"^triple is not homogeneous: clause 3 fails on pair \(0, 1\)$"
-        with pytest.raises(InputError, match=message):
-            classify_triple(
-                Element(9, (1, 3)), Element(9, (2, 5)), Element(9, (3, 4))
-            )
+        a = [Element(20, (8, 18)), Element(20, (9, 16)), Element(20, (10, 12))]
+        assert homogeneity.check_homogeneous(a).ell == [[], [1], [1, 1]]
+        assert triples._case_tag(1, 4) == CASE_INTERIOR
+        b = [Element(20, (1, 18)), Element(20, (8, 16)), Element(20, (2, 5))]
+        assert homogeneity.check_homogeneous(b).ell == [[], [1], [1, 0]]
+        assert triples._case_tag(0, 4) == CASE_BOUNDARY
+        assert triples._vanishing(*b)
 
     def test_case_tag_consistency(self):
         # interior <=> the (1,2) gap avoids both ends of the sigma vector
-        a0 = Element(40, (4, 6, 9, 35))
-        a1 = Element(40, (10, 20, 25, 30))
-        a2 = Element(40, (12, 14, 16, 18))
-        c = classify_triple(a0, a1, a2)
-        (n, _, _), _ = algebra.sigma_of(a0)
-        ell = c.ell[2][1]
-        assert (c.case_tag == CASE_INTERIOR) == (ell != 0 and ell + 1 != n - 1)
+        triple = [
+            Element(40, (4, 6, 9, 35)),
+            Element(40, (10, 20, 25, 30)),
+            Element(40, (12, 14, 16, 18)),
+        ]
+        assert homogeneity.check_homogeneous(triple).ell == [[], [3], [3, 1]]
+        assert algebra.sigma_of(triple[0])[0][0] == 6
+        tags = [triples._case_tag(gap, 6) for gap in range(5)]
+        assert tags == [CASE_BOUNDARY] + [CASE_INTERIOR] * 3 + [CASE_BOUNDARY]
 
 
 class TestSweep:
@@ -124,7 +119,7 @@ class TestSweep:
             for trio in itertools.product(elements, repeat=3):
                 if homogeneity.check_homogeneous(list(trio)).ok:
                     total += 1
-                    assert classify_triple(*trio).vanishing
+                    assert triples._vanishing(*trio)
         assert verify_triples(4, 3).triples == total
 
     @pytest.mark.parametrize("max_p", range(9))
