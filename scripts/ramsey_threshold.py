@@ -1,51 +1,87 @@
 #!/usr/bin/env python3
-"""Explore the smallest N at which every k-coloring of pairs from N indices
+"""Decide, for each N, whether every k-coloring of pairs from N indices
 contains a quadruple a0<a1<a2<a3 with equal color on all four cross pairs.
 
-For k = 2 the search is exhaustive over all colorings of the cross-relevant
-pairs at small N; for larger k it falls back to randomized falsification.
+Each N is decided exactly by pruned backtracking (Knuth, TAOCP Vol. 4B,
+7.2.2) over the colorings of the pairs.  One JSON row per N reads
+all_colorings_have_quadruple true when the search proves it, false with a
+coloring that has no such quadruple, or null when MAX_NODES runs out, and
+counts the search's nodes.  A false row's coloring lists c(i, j) for
+i < j, column j = 1..N-1 by column, and search.ramsey_quad has re-verified
+it.  The loop stops at the first true (it holds at every larger N too) or
+null.  Exit status: 0, or 1 after a null row, or 3 if a coloring fails its
+re-verification.  For two colors the threshold is 10.
 
 Example:
-    python3 scripts/ramsey_threshold.py --colors 2 --max-n 8
-    python3 scripts/ramsey_threshold.py --colors 3 --max-n 20 --samples 20000
+    python3 scripts/ramsey_threshold.py --colors 2 --max-n 10
+    python3 scripts/ramsey_threshold.py --colors 3 --min-n 4 --max-n 12
 """
 
 import argparse
-import itertools
 import json
-import random
 import sys
 
 from intalg.search import ramsey_quad
 
-
-def exhaustive_colorings_fail(n, k):
-    """A coloring of all pairs over n indices with no cross-equal quadruple,
-    or None if every coloring has one (exhaustive, so only tiny n/k)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for assignment in itertools.product(range(k), repeat=len(pairs)):
-        table = dict(zip(pairs, assignment))
-        if ramsey_quad(n, lambda i, j: table[(i, j)]) is None:
-            return table
-    return None
+# search nodes (colors placed) per N; 2 colors at N = 10 take 318,541
+MAX_NODES = 1_000_000
 
 
-def random_falsify(n, k, samples, seed):
-    """The first of samples random colorings with no cross-equal
-    quadruple, as a table of the pairs ramsey_quad read, or None.  Colors
-    are drawn as ramsey_quad asks for them, in lexicographic order, as
-    `intalg ramsey quad` draws them."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        table = {}
+def _completes(nbr, i, j):
+    """Whether some a0 < i < a2 < j has a2 in nbr[a0] and nbr[i], and a0
+    in nbr[j], where nbr[j] holds only the a0 < i colored so far."""
+    a2s = nbr[i] >> (i + 1) << (i + 1)
+    a0s = nbr[j]
+    while a0s:
+        a0 = a0s.bit_length() - 1
+        if nbr[a0] & a2s:
+            return True
+        a0s ^= 1 << a0
+    return False
 
-        def color(i, j):
-            table[i, j] = rng.randrange(k)
-            return table[i, j]
 
-        if ramsey_quad(n, color) is None:
-            return table
-    return None
+def avoiding_coloring(n, k):
+    """(verdict, coloring, nodes) for the k-colorings of pairs from n
+    indices: (True, None, nodes) when every one has a cross-equal
+    quadruple, (False, coloring, nodes) with the first one found that has
+    none, as a dict on pairs (i, j), i < j, or (None, None, MAX_NODES)
+    when deciding needs more than MAX_NODES colors placed.
+
+    Pairs are colored column by column (j outer, i < j inner), each with
+    the least color that keeps the search alive, on an explicit stack.  A
+    color is at most one past the largest used so far, since renaming
+    colors keeps quadruples.  Color c is rejected at (i, j) when (i, j)
+    completes a quadruple as its last pair (a1, a3): some a0 < i < a2 < j
+    has c(a0, a2) = c(i, a2) = c(a0, j) = c, every one colored already.
+    nbr[c][a] is the bitmask of the indices b with c(a, b) = c."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    nbr = [[0] * n for _ in range(k)]
+    stack = []  # (color, largest color used so far), one per colored pair
+    nodes = 0
+    c = 0
+    while len(stack) < len(pairs):
+        i, j = pairs[len(stack)]
+        top = stack[-1][1] if stack else -1
+        limit = min(k, top + 2)
+        while c < limit and _completes(nbr[c], i, j):
+            c += 1
+        if c < limit:
+            if nodes == MAX_NODES:
+                return None, None, nodes
+            nodes += 1
+            nbr[c][i] |= 1 << j
+            nbr[c][j] |= 1 << i
+            stack.append((c, max(top, c)))
+            c = 0
+        elif stack:
+            c = stack.pop()[0]
+            i, j = pairs[len(stack)]
+            nbr[c][i] &= ~(1 << j)
+            nbr[c][j] &= ~(1 << i)
+            c += 1
+        else:
+            return True, None, nodes
+    return False, {pair: c for pair, (c, _) in zip(pairs, stack)}, nodes
 
 
 def main():
@@ -53,34 +89,32 @@ def main():
     parser.add_argument("--colors", type=int, default=2)
     parser.add_argument("--min-n", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=8)
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=0,
-        help="random colorings per n (0 = exhaustive, feasible for tiny n)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.colors < 0 or args.min_n < 0:
+        parser.error("--colors and --min-n must not be negative")
 
-    rows = []
     for n in range(args.min_n, args.max_n + 1):
-        if args.samples == 0:
-            bad = exhaustive_colorings_fail(n, args.colors)
-            method = "exhaustive"
-        else:
-            bad = random_falsify(n, args.colors, args.samples, args.seed)
-            method = f"random x{args.samples}"
-        rows.append(
-            {
-                "n": n,
-                "colors": args.colors,
-                "method": method,
-                "all_colorings_have_quadruple": bad is None,
-            }
-        )
-        print(json.dumps(rows[-1]))
-        if bad is None and args.samples == 0:
-            # exhaustive success at n implies success at every larger n
+        verdict, coloring, nodes = avoiding_coloring(n, args.colors)
+        columns = None
+        if coloring is not None:
+            if ramsey_quad(n, lambda i, j: coloring[i, j]) is not None:
+                message = f"the coloring at n = {n} has a cross-equal quadruple"
+                error = {"error": "AssertionError", "message": message}
+                print(json.dumps(error), file=sys.stderr)
+                return 3
+            columns = [[coloring[i, j] for i in range(j)] for j in range(1, n)]
+        row = {
+            "n": n,
+            "colors": args.colors,
+            "method": "backtracking",
+            "nodes": nodes,
+            "all_colorings_have_quadruple": verdict,
+            "coloring": columns,
+        }
+        print(json.dumps(row))
+        if verdict is None:
+            return 1
+        if verdict:
             break
     return 0
 

@@ -149,15 +149,15 @@ def order_types(k: int, m: int, starts: bool):
 
     There are prod_{j<k} (j*m + 1) types per shape, one per slot sequence,
     in lexicographic order.  Each instance lies on the points 1..k*m of
-    order k*m + 1, and ell[j][i] counts i's endpoints before j's block."""
+    order k*m + 1; _nesting_row reads its ells off the endpoints."""
     head, tail = (NEG_INF,) * starts, (POS_INF,) * ((m + starts) % 2)
     for slots in itertools.product(*(range(j * m + 1) for j in range(k))):
-        labels, ell, finite = [], [], [[] for _ in slots]
+        labels, finite = [], [[] for _ in slots]
         for j, slot in enumerate(slots):
-            ell.append(list(map(labels[:slot].count, range(j))))
             labels[slot:slot] = [j] * m
         for x, j in enumerate(labels, 1):
             finite[j].append(x)
+        ell = [_nesting_row(finite[:j], f) for j, f in enumerate(finite)]
         yield [Element(k * m + 1, head + tuple(f) + tail) for f in finite], ell
 
 
@@ -189,7 +189,7 @@ def find_partitioning_set(seq) -> SemiHomogeneityReport | None:
     seq = list(seq)
     candidates = sorted(
         set().union(*(set(a.endpoints) for a in seq)) - {NEG_INF, POS_INF}
-    ) if seq else []
+    )
     if len(candidates) > MAX_CUT_CANDIDATES:
         raise CapacityError(
             f"{len(candidates)} cut candidates exceed cap {MAX_CUT_CANDIDATES}"

@@ -166,9 +166,6 @@ def is_independent(fam: Family, indices):
     for i in indices:
         if not 0 <= i < len(fam):
             raise InputError(f"member index {i} out of range")
-    if fam.kappa == 0 and n > 0:
-        pattern = (0,) * n
-        return False, DependenceWitness(pattern, (), tuple(range(n)))
     for pattern in itertools.product((0, 1), repeat=n):
         nonzero = False
         for zeta in range(fam.kappa):

@@ -320,10 +320,6 @@ def find_quadruple(fam: Family) -> Certificate | None:
 class PipelineResult(Value):
     __slots__ = ("certificate", "log")
 
-    @property
-    def found(self) -> bool:
-        return self.certificate is not None
-
 
 def flatten(fam: Family, indices, parts):
     """Turn every (coordinate, segment) of the partitioning sets into its

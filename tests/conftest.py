@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -18,3 +20,12 @@ def random_element(rng, p):
     count = rng.randint(0, max(0, len(pool) // 2))
     eps = tuple(sorted(rng.sample(pool, 2 * count)))
     return algebra.Element(p, eps)
+
+
+def load_script(name):
+    """Import scripts/<name>.py, which is not part of the package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

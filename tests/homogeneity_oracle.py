@@ -10,6 +10,9 @@ exhaustive_max_homogeneous is the reference extractor: the largest
 per-coordinate homogeneous subfamily, by trying every index subset,
 largest first.  It returns the lexicographically least among the largest
 subsets, the yardstick for homogeneity.extract_semi_homogeneous.
+
+slot_ells is the label-count rule for the ells of homogeneity.order_types'
+instances, which order_types reads off with _nesting_row instead.
 """
 
 import itertools
@@ -63,6 +66,19 @@ def pairwise_check_homogeneous(seq) -> HomogeneityReport:
             return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
         ell[beta].append(gap)
     return HomogeneityReport(True, ell)
+
+
+def slot_ells(k: int, m: int):
+    """The ells of order_types(k, m, starts) in its order: one per slot
+    sequence, lexicographic, member j's block of m finite endpoints going
+    into slot slots[j] of the earlier members' merged endpoints, so that
+    ell[j][i] counts the endpoints of member i among the first slots[j]."""
+    for slots in itertools.product(*(range(j * m + 1) for j in range(k))):
+        labels, ell = [], []
+        for j, slot in enumerate(slots):
+            ell.append(list(map(labels[:slot].count, range(j))))
+            labels[slot:slot] = [j] * m
+        yield ell
 
 
 def exhaustive_max_homogeneous(fam):

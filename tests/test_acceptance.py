@@ -5,9 +5,7 @@ doubles as a one-page acceptance report; a failure shows up both as the
 missing line and as the usual pytest failure.
 """
 
-import importlib.util
 import itertools
-import pathlib
 import random
 import time
 
@@ -30,7 +28,7 @@ from intalg.search import (
     required_members,
 )
 
-from .conftest import random_element
+from .conftest import load_script, random_element
 from .pointset_oracle import all_elements, oracle_is_nontrivial, oracle_points
 
 
@@ -38,17 +36,8 @@ def report(name):
     print(f"PASS {name}")
 
 
-def _load_script(name):
-    """Import scripts/<name>.py, which is not part of the package."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # seeded per-coordinate homogeneous families with few gap-vector values
-make_campaign_family = _load_script("run_sextuple_campaign").make_family
+make_campaign_family = load_script("run_sextuple_campaign").make_family
 
 
 def test_triple_sweep_exhaustive():
@@ -147,6 +136,19 @@ def test_ramsey_quadruple_campaigns():
         "ramsey quadruples: 10^5/10^5 at (k=2, N=16) and (k=3, N=162); "
         "20/20 verified family certificates"
     )
+
+
+def test_two_color_ramsey_threshold_is_ten():
+    """Every 2-coloring of the pairs from 10 indices has a cross-equal
+    quadruple: exact, by scripts/ramsey_threshold.py's backtracking, where
+    the campaign above only samples.  9 indices have a coloring without
+    one, which ramsey_quad re-verifies."""
+    avoiding_coloring = load_script("ramsey_threshold").avoiding_coloring
+    assert avoiding_coloring(10, 2) == (True, None, 318_541)
+    verdict, coloring, _ = avoiding_coloring(9, 2)
+    assert verdict is False
+    assert ramsey_quad(9, lambda i, j: coloring[i, j]) is None
+    report("ramsey threshold: every 2-coloring of N=10 has a quadruple, N=9 not")
 
 
 def test_gap_side_predicts_vanishing_product():

@@ -163,6 +163,19 @@ class TestIndependent:
         ]
 
 
+    def test_kappa_zero_bytes(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        write_family(path, Family(0, (), ((),) * 3))
+        code, out, _ = run(
+            capsys, "independent", "--family", str(path), "--indices", "0,1,2"
+        )
+        assert code == EXIT_OK
+        assert out == (
+            '{"independent":false,"witness":'
+            '{"gamma":[],"nabla":[0,1,2],"pattern":[0,0,0]}}\n'
+        )
+
+
 class TestHomog:
     def test_check_ok(self, capsys, tmp_path):
         # free gap choices, so that the ells differ between pairs

@@ -298,6 +298,10 @@ class TestFindPartitioningSet:
         report = find_partitioning_set(seq)
         assert report.cuts == (NEG_INF, POS_INF)
         assert report.segments == (check_homogeneous(seq),)
+        # no members, no cut candidates: the one segment is homogeneous
+        report = find_partitioning_set([])
+        assert report.cuts == (NEG_INF, POS_INF)
+        assert report.segments == (check_homogeneous([]),) and report.ok
 
     def test_two_blocks_need_one_cut(self):
         # two nested blocks glued at the shared boundary point 10

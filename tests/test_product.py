@@ -187,9 +187,13 @@ class TestIndependence:
             is_independent(fam, list(range(17)))
 
     def test_kappa_zero(self):
-        fam = Family(0, (), ((), ()))
-        ok, witness = is_independent(fam, [0, 1])
-        assert not ok and witness.pattern == (0, 0)
+        # with no coordinate no meet is nonzero: the all-zeros pattern fails
+        for n in range(5):
+            fam = Family(0, (), ((),) * n)
+            ok, witness = is_independent(fam, range(n))
+            assert not ok
+            assert witness.pattern == (0,) * n
+            assert (witness.gamma, witness.nabla) == ((), tuple(range(n)))
 
     def test_subset_monotonicity(self):
         rng = random.Random(21)

@@ -761,7 +761,7 @@ class TestPipeline:
     def test_homogeneous_input_passthrough(self):
         fam = nested_family(13, 1, 64, 9, 4, gap_choices=[1] * 9)
         result = pipeline(fam, "short")
-        assert result.found
+        assert result.certificate is not None
         assert result.log["selected_indices"] == list(range(9))
         assert result.log["parts"] == [["-inf", "+inf"]]
         assert_certificate_sound(result.certificate, result_flat(fam, result))
@@ -783,7 +783,7 @@ class TestPipeline:
         # 22 cut candidates, past MAX_CUT_CANDIDATES
         fam = nested_family(13, 1, 64, 11, 4, gap_choices=[1] * 11)
         result = pipeline(fam, "symmetric")
-        assert result.found
+        assert result.certificate is not None
         assert result.log["extraction"]["strategy"] == "greedy-nesting"
         assert built == []
         [(flat, mode, matrix)] = searched
@@ -803,19 +803,19 @@ class TestPipeline:
         ]
         fam = Family.from_columns((60,), [glued])
         result = pipeline(fam, "short")
-        assert result.found
+        assert result.certificate is not None
         assert len(result.log["flatten_map"]) == 2
 
     def test_insufficient_report(self):
         fam = nested_family(14, 1, 64, 4, 4)
         result = pipeline(fam, "short")
-        assert not result.found
+        assert result.certificate is None
         assert result.log["insufficient"]["achieved_members"] == 4
 
     def test_certificate_carries_provenance(self):
         fam = nested_family(15, 2, 64, 9, 4, gap_choices=[0] * 9)
         result = pipeline(fam, "symmetric")
-        assert result.found
+        assert result.certificate is not None
         d = result.certificate.to_dict()
         assert set(d) == {"indices", "term", "mode", "coordinates", "provenance"}
         assert d["mode"] == "symmetric"

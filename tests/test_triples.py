@@ -21,6 +21,7 @@ from intalg.triples import (
     verify_triples,
 )
 
+from .homogeneity_oracle import slot_ells
 from .pointset_oracle import oracle_is_nontrivial, oracle_points, oracle_term
 from .triples_oracle import hand_built_triple_types, sweep_triples
 
@@ -158,6 +159,7 @@ class TestOrderTypes:
         for k in itertools.takewhile(lambda k: type_count(k, m) <= 1100, range(7)):
             for starts in (False, True):
                 types = list(homogeneity.order_types(k, m, starts))
+                assert [ell for _, ell in types] == list(slot_ells(k, m))
                 shape = (m + 2, starts, (m + starts) % 2 == 1)
                 for seq, ell in types:
                     assert len(seq) == len(ell) == k
