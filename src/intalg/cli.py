@@ -104,9 +104,10 @@ def gen_random_family(
     for p in order_sizes:
         if p < 0:
             raise InputError(f"negative order size {p}")
-    if order_sizes and max_intervals * 2 + 2 > min(order_sizes):
+    # a member draws 2 * count distinct endpoints from the p + 1 indices
+    if order_sizes and max_intervals * 2 > min(order_sizes) + 1:
         raise CapacityError(
-            f"{max_intervals} intervals need order size >= {max_intervals * 2 + 2}"
+            f"{max_intervals} intervals need order size >= {max_intervals * 2 - 1}"
         )
     rng = random.Random(seed)
     members = []

@@ -16,9 +16,9 @@ class Value:
     field but those named in _uncompared.  The hash is that of the tuple of
     compared fields, as a frozen dataclass computes it, so set and dict
     orders match it too.  This constructor takes every field, positionally
-    or by name; a class that validates, fills defaults or is built in hot
-    loops writes its own __init__, which sets the fields past
-    Value.__setattr__ (object.__setattr__, or the slots' own setters).
+    and with no defaults; a class that validates or is built in hot loops
+    writes its own __init__, which sets the fields past Value.__setattr__
+    (object.__setattr__, or the slots' own setters).
     Frozen dataclasses would cost every CLI call about 10 ms to import
     dataclasses and inspect, and 0.5 to 1 ms per class to decorate (Python
     3.11 on 2 shared cores)."""
@@ -26,13 +26,12 @@ class Value:
     __slots__ = ()
     _uncompared = ()
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(values) or values.keys() != set(names):
+        if len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _compared(self) -> tuple:
         return tuple(

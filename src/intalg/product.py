@@ -57,6 +57,8 @@ class Family(Value):
         order; without columns, n_members members with no coordinates."""
         if n_members < 0:
             raise InputError(f"negative member count {n_members}")
+        if len(columns) != len(order_sizes):
+            raise InputError("column count does not match order_sizes")
         members = tuple(zip(*columns)) if columns else ((),) * n_members
         if any(len(col) != len(members) for col in columns):
             raise InputError("columns differ in length")

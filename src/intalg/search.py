@@ -40,7 +40,9 @@ MAX_QUADRUPLE_CANDIDATES = 1_000_000
 
 
 class CoordinateEvidence(Value):
-    __slots__ = ("zeta", "empty", "ell", "side")
+    """The certificate's term is empty in coordinate zeta, by these ells."""
+
+    __slots__ = ("zeta", "ell", "side")
 
 
 class Certificate(Value):
@@ -50,10 +52,6 @@ class Certificate(Value):
     __slots__ = ("indices", "term", "mode", "per_coordinate", "provenance")
     _uncompared = ("provenance",)
 
-    def __init__(self, indices, term, mode, per_coordinate, provenance=None):
-        provenance = {} if provenance is None else provenance
-        super().__init__(indices, term, mode, per_coordinate, provenance)
-
     def to_dict(self) -> dict:
         return {
             "indices": list(self.indices),
@@ -62,7 +60,7 @@ class Certificate(Value):
             "coordinates": [
                 {
                     "zeta": c.zeta,
-                    "empty": c.empty,
+                    "empty": True,
                     "ell": list(c.ell),
                     "side": c.side,
                 }
@@ -112,20 +110,19 @@ def required_members(v_count: int, mode: str) -> int:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _evidence(fam, per_coordinate, idx, pairs):
+def _evidence(fam, vectors, idx, pairs):
     """Per coordinate, the ells of the position pairs (a, b) of idx, and
     the side of member idx[0] on which the first of them lies."""
-    evidence = []
-    for zeta, rows in enumerate(per_coordinate):
-        ells = tuple([rows[idx[b]][idx[a]] for a, b in pairs])
-        side = gap_side(fam, zeta, idx[0], ells[0])
-        evidence.append(CoordinateEvidence(zeta, True, ells, side))
-    return tuple(evidence)
+    columns = zip(*[vectors[idx[b]][idx[a]] for a, b in pairs])
+    return tuple(
+        CoordinateEvidence(zeta, ells, gap_side(fam, zeta, idx[0], ells[0]))
+        for zeta, ells in enumerate(columns)
+    )
 
 
-def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
+def _order_type_decider(fam: Family, vectors, term: terms.Term):
     """decide(idx): whether term vanishes on the members idx, in increasing
-    order, of the homogeneous family whose ell rows are per_coordinate.
+    order, of the homogeneous family whose EllMatrix.vectors is vectors.
 
     Whether the term is empty in a coordinate depends only on the ells of
     idx's pairs there (the argument of homogeneity.order_types), so per
@@ -135,17 +132,16 @@ def _order_type_decider(fam: Family, per_coordinate, term: terms.Term):
     accepts has had every coordinate evaluated directly, each once.
     """
     members, order_sizes = fam.members, fam.order_sizes
-    coordinates = [(zeta, rows, {}) for zeta, rows in enumerate(per_coordinate)]
+    memos = [{} for _ in range(fam.kappa)]  # per coordinate: ells -> empty
 
     def empty_at(zeta, idx):
         values = [members[i][zeta] for i in idx]
         return terms.evaluate(term, values, order_size=order_sizes[zeta]).is_empty()
 
     def decide(idx):
-        pairs = list(itertools.combinations(idx, 2))
+        columns = zip(*[vectors[b][a] for a, b in itertools.combinations(idx, 2)])
         unknown, known_empty = [], []
-        for zeta, rows, empty_by_ells in coordinates:
-            ells = tuple([rows[b][a] for a, b in pairs])
+        for zeta, (ells, empty_by_ells) in enumerate(zip(columns, memos)):
             empty = empty_by_ells.get(ells)
             if empty is None:
                 unknown.append((zeta, ells, empty_by_ells))
@@ -200,11 +196,10 @@ def find_sextuple(
         matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
-    per_coordinate = matrix.per_coordinate
-    decide = _order_type_decider(fam, per_coordinate, term)
+    vectors = matrix.vectors
+    decide = _order_type_decider(fam, vectors, term)
     symmetric = mode == "symmetric"
     pairs = ((0, 1), (1, 2)) if symmetric else ((0, 1),)
-    vectors = matrix.vectors
     # buckets[a][v]: the betas > a with vector v, increasing
     buckets = [{} for _ in range(n)]
     for beta, row in enumerate(vectors):
@@ -238,8 +233,8 @@ def find_sextuple(
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if decide(idx):
-                                evidence = _evidence(fam, per_coordinate, idx, pairs)
-                                return Certificate(idx, term, mode, evidence)
+                                evidence = _evidence(fam, vectors, idx, pairs)
+                                return Certificate(idx, term, mode, evidence, {})
     return None
 
 
@@ -294,10 +289,10 @@ def find_quadruple(fam: Family) -> Certificate | None:
     lexicographic order, up to MAX_QUADRUPLE_CANDIDATES (CapacityError
     past it).  _order_type_decider decides both (homogeneity.order_types).
     """
-    matrix = ell_matrix(fam)
+    vectors = ell_matrix(fam).vectors
     n = len(fam)
-    decide = _order_type_decider(fam, matrix.per_coordinate, TERM_QUAD)
-    idx = ramsey_quad(n, lambda i, j: matrix.vectors[j][i])
+    decide = _order_type_decider(fam, vectors, TERM_QUAD)
+    idx = ramsey_quad(n, lambda i, j: vectors[j][i])
     if idx is None:
         quads = itertools.combinations(range(n), 4)
         capped = itertools.islice(quads, MAX_QUADRUPLE_CANDIDATES)
@@ -313,8 +308,8 @@ def find_quadruple(fam: Family) -> Certificate | None:
             f"internal consistency failure: gap-vector quadruple {idx} "
             "does not vanish"
         )
-    evidence = _evidence(fam, matrix.per_coordinate, idx, ((0, 2),))
-    return Certificate(idx, TERM_QUAD, "quadruple", evidence)
+    evidence = _evidence(fam, vectors, idx, ((0, 2),))
+    return Certificate(idx, TERM_QUAD, "quadruple", evidence, {})
 
 
 class PipelineResult(Value):
@@ -345,6 +340,8 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
     The ell matrix of the flattened family is indexed from the nesting
     witnesses extraction has already proved, so homogeneity is checked
     once, by extraction, and not again on the flattened family."""
+    if mode not in ("short", "symmetric"):
+        raise InputError(f"unknown mode {mode!r}")
     extraction = homogeneity.extract_semi_homogeneous(raw)
     flat, flatten_map = flatten(raw, extraction.indices, extraction.parts)
     info = {

@@ -65,7 +65,7 @@ def pairwise_check_homogeneous(seq) -> HomogeneityReport:
             detail = "no single gap contains the later endpoints"
             return HomogeneityReport(False, None, Violation(3, (alpha, beta), detail))
         ell[beta].append(gap)
-    return HomogeneityReport(True, ell)
+    return HomogeneityReport(True, ell, None)
 
 
 def slot_ells(k: int, m: int):

@@ -20,17 +20,17 @@ from intalg.search import (
 
 
 def naive_find_quadruple(fam):
-    ells = ell_matrix(fam).per_coordinate
+    matrix = ell_matrix(fam)
     n = len(fam)
-    hit = ramsey_quad(n, lambda i, j: tuple([rows[j][i] for rows in ells]))
+    hit = ramsey_quad(n, matrix.ell_vec)
     candidates = itertools.combinations(range(n), 4)
     if hit is not None:
         candidates = itertools.chain([hit], candidates)
     for idx in candidates:
         if is_zero(prod_eval(TERM_QUAD, fam, idx)):
             evidence = tuple(
-                CoordinateEvidence(zeta, True, (ell,), gap_side(fam, zeta, idx[0], ell))
-                for zeta, ell in enumerate(rows[idx[2]][idx[0]] for rows in ells)
+                CoordinateEvidence(zeta, (ell,), gap_side(fam, zeta, idx[0], ell))
+                for zeta, ell in enumerate(matrix.ell_vec(idx[0], idx[2]))
             )
-            return Certificate(idx, TERM_QUAD, "quadruple", evidence)
+            return Certificate(idx, TERM_QUAD, "quadruple", evidence, {})
     return None

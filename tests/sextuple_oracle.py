@@ -44,6 +44,7 @@ def naive_find_sextuple(fam, mode="short"):
                                     idx,
                                     term,
                                     mode,
-                                    _evidence(fam, matrix.per_coordinate, idx, pairs),
+                                    _evidence(fam, matrix.vectors, idx, pairs),
+                                    {},
                                 )
     return None

@@ -166,7 +166,7 @@ def test_gap_side_predicts_vanishing_product():
                 continue
             for zeta in range(fam.kappa):
                 trio = [fam.members[i][zeta] for i in (alpha, beta, gamma)]
-                ell = matrix.per_coordinate[zeta][beta][alpha]
+                ell = matrix.ell_vec(alpha, beta)[zeta]
                 side = gap_side(fam, zeta, alpha, ell)
                 predicted, other = (
                     (without_x0, with_x0)

@@ -483,6 +483,38 @@ class TestGen:
         assert code == EXIT_INPUT_ERROR
         assert json.loads(err)["error"] == "CapacityError"
 
+    def test_homog_order_size_cap(self, capsys):
+        # about p draws per coordinate: 10^9 would run for minutes
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "gen", "homog", "--seed", "0", "--orders", "1000000000",
+            "--count", "2", "--sigma-size", "3",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": "order size 1000000000 exceeds cap 1000000",
+        }
+
+    def test_homog_gap_pool(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "gen", "homog", "--seed", "3", "--orders", "40",
+            "--count", "5", "--sigma-size", "5", "--gap-pool", "0,2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            '{"elements":[[["-inf",22,25,31]],[["-inf",10,12,19]],'
+            '[["-inf",1,2,9]],[["-inf",6,7,8]],[["-inf",3,4,5]]],'
+            '"kappa":1,"order_sizes":[40],"seed":3}\n'
+        )
+        path = tmp_path / "fam.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "homog", "check", "--family", str(path))
+        [coordinate] = json.loads(out)["coordinates"]
+        assert code == EXIT_OK and coordinate["homogeneous"]
+        assert {ell for _, _, ell in coordinate["ell"]} == {0, 2}
+
     @pytest.mark.parametrize("order", ["0", "5"])
     def test_homog_empty_family_at_any_order(self, capsys, order):
         # no member needs room: the capacity test does not apply at N = 0
@@ -542,14 +574,27 @@ class TestGen:
     def test_random_capacity(self):
         with pytest.raises(CapacityError):
             cli.gen_random_family(0, 1, (5,), 3, 4)
+        # a member draws 2k distinct indices of the p + 1 in 0..p
+        for k in (1, 2, 5):
+            assert len(cli.gen_random_family(0, 2, (2 * k - 1, 40), 3, k)) == 3
+            with pytest.raises(CapacityError, match=f"order size >= {2 * k - 1}$"):
+                cli.gen_random_family(0, 2, (2 * k - 2, 40), 3, k)
+
+    def test_random_at_order_zero(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "random", "--seed", "0", "--orders", "0",
+            "--count", "2", "--max-intervals", "0",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == '{"elements":[[[]],[[]]],"kappa":1,"order_sizes":[0],"seed":0}\n'
 
     def test_random_matches_pool_reference(self):
         # small pools take sample's list branch, large ones its set branch
-        order_grid = [(2,), (8, 3), (20,), (40,), (1024, 64)]
+        order_grid = [(2,), (5,), (8, 3), (20,), (40,), (1024, 64)]
         grid = itertools.product(range(8), order_grid, [0, 1, 7], [0, 1, 3])
         checked = 0
         for seed, orders, n, max_intervals in grid:
-            if max_intervals * 2 + 2 > min(orders):
+            if max_intervals * 2 > min(orders) + 1:
                 continue
             args = (seed, len(orders), orders, n, max_intervals)
             assert cli.gen_random_family(*args) == pool_random_family(*args)

@@ -408,6 +408,22 @@ class TestGenHomogeneous:
 
     def test_deterministic(self):
         assert gen_homogeneous(9, 40, 4, 5) == gen_homogeneous(9, 40, 4, 5)
+        # with no pool, each level draws its gap as randrange(m + 1)
+        assert [a.endpoints for a in gen_homogeneous(4, 40, 4, 5)] == [
+            (NEG_INF, 9, 25, 36),
+            (NEG_INF, 10, 14, 22),
+            (NEG_INF, 18, 19, 21),
+            (NEG_INF, 15, 16, 17),
+        ]
+
+    def test_order_size_cap(self, monkeypatch):
+        monkeypatch.setattr(homogeneity, "MAX_GEN_ORDER", 50)
+        assert len(gen_homogeneous(0, 50, 2, 3)) == 2
+        with pytest.raises(CapacityError, match="^order size 51 exceeds cap 50$"):
+            gen_homogeneous(0, 51, 2, 3)
+        # no draws without a member or a finite endpoint: no cap
+        assert gen_homogeneous(0, 51, 0, 3) == []
+        assert gen_homogeneous(0, 51, 2, 2) == [algebra.empty(51)] * 2
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -119,6 +119,10 @@ class TestFamily:
             Family.from_columns((3, 3), [[a, b], [a]])
         with pytest.raises(InputError):
             Family.from_columns((), [], -1)
+        # one column per order size, even with no members to check
+        for order_sizes, columns in [((8, 9), [[]]), ((8,), [[], []]), ((), [[]])]:
+            with pytest.raises(InputError, match="column count"):
+                Family.from_columns(order_sizes, columns)
 
 
 class TestProdEval:

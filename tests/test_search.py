@@ -49,15 +49,15 @@ def nested_family(seed, kappa, p, n, k, gap_choices=None):
 
 class TestEllMatrix:
     def test_tiny_families(self):
-        assert ell_matrix(nested_family(0, 1, 16, 0, 4)).per_coordinate == ([],)
-        assert ell_matrix(nested_family(0, 1, 16, 1, 4)).per_coordinate == ([[]],)
+        assert ell_matrix(nested_family(0, 1, 16, 0, 4)).vectors == ()
+        assert ell_matrix(nested_family(0, 1, 16, 1, 4)).vectors == ([],)
 
     def test_matches_per_coordinate_checker(self):
         fam = nested_family(1, 2, 32, 5, 4)
         matrix = ell_matrix(fam)
         for zeta in range(2):
             report = homogeneity.check_homogeneous(fam.coordinate(zeta))
-            assert matrix.per_coordinate[zeta] == report.ell
+            assert [[v[zeta] for v in row] for row in matrix.vectors] == report.ell
 
     def test_coordinates_can_differ(self):
         cols = [
@@ -115,13 +115,12 @@ class TestPigeonhole:
         }
         assert pigeonhole_state(matrix) == len(seen)
         # the gap vectors: row beta zips the coordinates' ells of beta
+        ells = [homogeneity.check_homogeneous(fam.coordinate(z)).ell for z in range(2)]
         assert len(matrix.vectors) == n
         for beta, row in enumerate(matrix.vectors):
             assert len(row) == beta
             for alpha, vec in enumerate(row):
-                assert vec == tuple(
-                    rows[beta][alpha] for rows in matrix.per_coordinate
-                )
+                assert vec == tuple(rows[beta][alpha] for rows in ells)
 
     def test_required_members(self):
         assert required_members(1, "short") == 6
@@ -135,8 +134,7 @@ class TestPigeonhole:
 def assert_certificate_sound(cert, fam):
     assert list(cert.indices) == sorted(set(cert.indices))
     assert is_zero(prod_eval(cert.term, fam, cert.indices))
-    for ev in cert.per_coordinate:
-        assert ev.empty
+    assert [ev.zeta for ev in cert.per_coordinate] == list(range(fam.kappa))
 
 
 class TestFindSextuple:
@@ -268,8 +266,8 @@ class TestSextupleIndexAgainstNaive:
             evaluations.append(args)
             return evaluate(*args, **kwargs)
 
-        def recording(fam, per_coordinate, term):
-            decide = make_decider(fam, per_coordinate, term)
+        def recording(fam, vectors, term):
+            decide = make_decider(fam, vectors, term)
 
             def wrapped(idx):
                 before = len(evaluations)
@@ -745,7 +743,7 @@ class TestKeyFactGapSide:
                     trio = [
                         fam.members[i][zeta] for i in (alpha, beta, gamma)
                     ]
-                    ell = matrix.per_coordinate[zeta][beta][alpha]
+                    ell = matrix.ell_vec(alpha, beta)[zeta]
                     side = gap_side(fam, zeta, alpha, ell)
                     v_in = terms.evaluate(with_x0, trio)
                     v_out = terms.evaluate(without_x0, trio)
@@ -758,6 +756,17 @@ class TestKeyFactGapSide:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("mode", ["bogus", "quadruple"])
+    def test_unknown_mode_before_extraction(self, monkeypatch, n, mode):
+        # below 6 selected members and above, nothing is extracted
+        extracted = []
+        monkeypatch.setattr(homogeneity, "extract_semi_homogeneous", extracted.append)
+        fam = nested_family(13, 1, 64, n, 4, gap_choices=[1] * n)
+        with pytest.raises(InputError, match=f"^unknown mode '{mode}'$"):
+            pipeline(fam, mode)
+        assert extracted == []
+
     def test_homogeneous_input_passthrough(self):
         fam = nested_family(13, 1, 64, 9, 4, gap_choices=[1] * 9)
         result = pipeline(fam, "short")

@@ -1,22 +1,24 @@
 """Value semantics of every intalg value class: equality over the compared
 fields, the hash of their tuple, immutability, a dataclass-style repr,
-defaults, and copy and pickle round trips."""
+positional construction, and copy and pickle round trips."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
 from intalg import algebra, homogeneity, product, search, terms, triples
 from intalg.algebra import NEG_INF, POS_INF, Element
+from intalg.errors import Value
 
 E, E2 = Element(40, (3, 9)), Element(40, (3, 10))
 X0, X1 = terms.Var(0), terms.Var(1)
 V = homogeneity.Violation(3, (0, 1), "no gap")
 R = homogeneity.HomogeneityReport(False, None, V)
-R2 = homogeneity.HomogeneityReport(True, [[], [0]])
-EV = search.CoordinateEvidence(0, True, (1,), "inside")
-EV2 = search.CoordinateEvidence(1, False, (0,), None)
+R2 = homogeneity.HomogeneityReport(True, [[], [0]], None)
+EV = search.CoordinateEvidence(0, (1,), "inside")
+EV2 = search.CoordinateEvidence(1, (0,), None)
 CERT = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"a": 1})
 
 # (class, field names, number of compared fields (they come first), field
@@ -29,7 +31,7 @@ CASES = [
     (homogeneity.Violation, ("clause", "pair", "detail"), 3, (3, (0, 1), "no gap"), (1, (0, 2), "size")),
     (homogeneity.HomogeneityReport, ("ok", "ell", "violation"), 3, (False, None, V), (True, [[], [0]], None)),
     (homogeneity.SemiHomogeneityReport, ("ok", "cuts", "segments"), 3, (False, (NEG_INF, 5, POS_INF), (R,)), (True, (NEG_INF, POS_INF), (R2,))),
-    (homogeneity.EllMatrix, ("per_coordinate", "vectors"), 2, (((), ((0,),)), ((), ((0,),))), ([[], [1]], [[], [(1,)]])),
+    (homogeneity.EllMatrix, ("vectors",), 1, (((), ((0,),)),), ([[], [(1,)]],)),
     (
         homogeneity.ExtractionResult,
         ("indices", "parts", "ell", "log"),
@@ -48,7 +50,7 @@ CASES = [
     (terms.SymDiff, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
     (terms.Compl, ("arg",), 1, (X0,), (terms.ZERO,)),
     (terms.Meet, ("left", "right"), 2, (terms.Compl(X0), terms.Join(X0, X1)), (X0, terms.Compl(X1))),
-    (search.CoordinateEvidence, ("zeta", "empty", "ell", "side"), 4, (0, True, (1,), "inside"), (1, False, (0,), None)),
+    (search.CoordinateEvidence, ("zeta", "ell", "side"), 3, (0, (1,), "inside"), (1, (0,), None)),
     (
         search.Certificate,
         ("indices", "term", "mode", "per_coordinate", "provenance"),
@@ -142,12 +144,28 @@ def test_element_repr():
     assert repr(Element(40, (3, 9))) == "Element(order_size=40, endpoints=(3, 9))"
 
 
-def test_defaults():
-    assert homogeneity.HomogeneityReport(True, [[], [0]]).violation is None
-    parts = ((NEG_INF, POS_INF),)
-    a = homogeneity.ExtractionResult((0,), parts, ([[]],))
-    b = homogeneity.ExtractionResult((0,), parts, ([[]],))
-    assert a.log == {} and b.log == {} and a.log is not b.log
-    c = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,))
-    d = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,))
-    assert c.provenance == {} and d.provenance == {} and c.provenance is not d.provenance
+def test_own_inits_take_no_defaults():
+    own = {case[0] for case in CASES if case[0].__init__ is not Value.__init__}
+    assert own == {
+        Element,
+        product.Family,
+        homogeneity.Violation,
+        homogeneity.HomogeneityReport,
+        homogeneity.SemiHomogeneityReport,
+    }
+    for cls in own:
+        params = list(inspect.signature(cls.__init__).parameters.values())
+        assert all(p.default is p.empty for p in params), cls
+
+
+def test_value_init_takes_every_field_positionally():
+    for cls, names, _, values, _ in CASES:
+        if cls.__init__ is not Value.__init__:
+            continue
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if names:
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+            with pytest.raises(TypeError):
+                cls(*values[:-1], **{names[-1]: values[-1]})
