@@ -29,6 +29,12 @@ EXIT_INTERNAL_ERROR = 3
 # `ramsey quad` scans O(n^3) pair rows and stores n^2/2 colours: an
 # exhausting scan at the cap took 8.2 s and 40 MB (Python 3.11, 2 shared cores)
 MAX_RAMSEY_N = 1000
+# random draws a `gen` call may make, counted before it draws any: about
+# sum(p) for `gen homog`, count * kappa * (2 * max_intervals + 1) for `gen
+# random`.  At the cap `gen homog` took 1.3 s (2 members) to 5.4 s and 371 MB
+# (499,999 members, kappa 2), `gen random` 1.7 s and 73 MB (Python 3.11, 2
+# shared cores)
+MAX_GEN_DRAWS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +115,7 @@ def gen_random_family(
         raise CapacityError(
             f"{max_intervals} intervals need order size >= {max_intervals * 2 - 1}"
         )
+    _check_draws(N * kappa * (2 * max_intervals + 1))
     rng = random.Random(seed)
     members = []
     for _ in range(N):
@@ -123,6 +130,11 @@ def gen_random_family(
             member.append(algebra.Element(p, tuple(ends.get(i, i) for i in picks)))
         members.append(tuple(member))
     return product.Family(kappa, order_sizes, tuple(members))
+
+
+def _check_draws(draws: int) -> None:
+    if draws > MAX_GEN_DRAWS:
+        raise CapacityError(f"about {draws} random draws exceed cap {MAX_GEN_DRAWS}")
 
 
 def _cmd_canon(args) -> int:
@@ -165,6 +177,7 @@ def _cmd_homog_check(args) -> int:
     from . import homogeneity
 
     fam = _load_family(args.family)
+    homogeneity.check_witness_cap(fam)
     coordinates = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -207,7 +220,7 @@ def _cmd_homog_extract(args) -> int:
         {
             "indices": list(result.indices),
             "parts": parts,
-            "strategy": result.log.get("strategy"),
+            "strategy": result.strategy,
         },
     )
     return EXIT_OK
@@ -236,7 +249,7 @@ def _cmd_search(args) -> int:
     if cert is None:
         _emit(args, report)
         return EXIT_NO_WITNESS
-    _emit(args, cert.to_dict())
+    _emit(args, {**cert.to_dict(), "provenance": report.get("provenance", {})})
     return EXIT_OK
 
 
@@ -286,6 +299,8 @@ def _cmd_gen_homog(args) -> int:
     if len(order_sizes) != args.kappa:
         raise InputError("--orders must list one size, or one per coordinate")
     gap_pool = None if args.gap_pool is None else _parse_int_list(args.gap_pool)
+    # each member draws its endpoints' offsets, about p in all per coordinate
+    _check_draws(sum(order_sizes) if args.count > 0 and args.sigma_size > 2 else 0)
     columns = [
         homogeneity.gen_homogeneous(
             args.seed * 1000003 + zeta,

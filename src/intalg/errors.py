@@ -12,19 +12,18 @@ class CapacityError(ValueError):
 class Value:
     """An immutable record whose fields are its __slots__, in order.
 
-    Instances of one class are equal when their compared fields are: every
-    field but those named in _uncompared.  The hash is that of the tuple of
-    compared fields, as a frozen dataclass computes it, so set and dict
-    orders match it too.  This constructor takes every field, positionally
-    and with no defaults; a class that validates or is built in hot loops
-    writes its own __init__, which sets the fields past Value.__setattr__
+    Instances of one class are equal when every field is.  The hash is that
+    of the tuple of fields, as a frozen dataclass computes it, so set and
+    dict orders match it too; a record with a list field is unhashable.
+    This constructor takes every field, positionally and with no defaults;
+    a class that validates or is built in hot loops writes its own
+    __init__, which sets the fields past Value.__setattr__
     (object.__setattr__, or the slots' own setters).
     Frozen dataclasses would cost every CLI call about 10 ms to import
     dataclasses and inspect, and 0.5 to 1 ms per class to decorate (Python
     3.11 on 2 shared cores)."""
 
     __slots__ = ()
-    _uncompared = ()
 
     def __init__(self, *args):
         names = self.__slots__
@@ -33,18 +32,16 @@ class Value:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
-    def _compared(self) -> tuple:
-        return tuple(
-            [getattr(self, f) for f in self.__slots__ if f not in self._uncompared]
-        )
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared() == other._compared()
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._compared())
+        return hash(self._fields())
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -57,4 +54,4 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+        return type(self), self._fields()

@@ -20,9 +20,10 @@ from .errors import CapacityError, InputError, Value
 from .product import Family
 
 MAX_CUT_CANDIDATES = 20
-# gen_homogeneous makes about p random draws per call: at p = 10^6 one call
-# took 0.4-2.2 s (N 2 to 499,999; Python 3.11, 2 shared cores)
-MAX_GEN_ORDER = 1_000_000
+# nesting witnesses, one per pair of members and coordinate, that a family
+# may need: `homog check` at the cap (1,581 members, kappa 2) took 7.5-8.9 s
+# and 412 MB (Python 3.11, 2 shared cores)
+MAX_WITNESSES = 2_500_000
 
 
 class Violation(Value):
@@ -88,6 +89,19 @@ class EllMatrix(Value):
 
     def ell_vec(self, alpha: int, beta: int) -> tuple:
         return self.vectors[beta][alpha]
+
+
+def check_witness_cap(fam: Family) -> None:
+    """Raise CapacityError when the family's nesting witnesses, one per
+    pair of members and coordinate, would pass MAX_WITNESSES: the check
+    comes before any of them is computed."""
+    n = len(fam)
+    witnesses = n * (n - 1) // 2 * fam.kappa
+    if witnesses > MAX_WITNESSES:
+        raise CapacityError(
+            f"{witnesses} nesting witnesses ({n} members, kappa {fam.kappa}) "
+            f"exceed cap {MAX_WITNESSES}"
+        )
 
 
 def _nesting_row(chain, finite) -> list | None:
@@ -222,8 +236,6 @@ def gen_homogeneous(seed, p: int, N: int, k: int, gap_pool=None, gap_choices=Non
         raise CapacityError(
             f"order size {p} cannot nest {N} levels of {m} endpoints"
         )
-    if m and N and p > MAX_GEN_ORDER:
-        raise CapacityError(f"order size {p} exceeds cap {MAX_GEN_ORDER}")
     if gap_pool is not None and gap_choices is not None:
         raise InputError("gap_pool and gap_choices are mutually exclusive")
     if gap_pool is not None:
@@ -270,11 +282,10 @@ class ExtractionResult(Value):
     tuple per coordinate, and the nesting witnesses extraction proved on
     the way: the ell rows (HomogeneityReport.ell's layout) of each
     flattened coordinate, that is of each (coordinate, segment) in
-    search.flatten's order, over positions in `indices`.  Like `log`,
-    `ell` takes no part in equality."""
+    search.flatten's order, over positions in `indices`, and the strategy
+    that selected them."""
 
-    __slots__ = ("indices", "parts", "ell", "log")
-    _uncompared = ("ell", "log")
+    __slots__ = ("indices", "parts", "ell", "strategy")
 
 
 def _groups(sigmas) -> list:
@@ -326,13 +337,10 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
     find_partitioning_set returns with the winning cuts, on the greedy
     path the gaps the selection accepted.
     """
+    check_witness_cap(fam)
     if not len(fam):
-        return ExtractionResult(
-            (),
-            _trivial_parts(fam.kappa),
-            tuple([] for _ in range(fam.kappa)),
-            {"strategy": "empty"},
-        )
+        no_ell = tuple([] for _ in range(fam.kappa))
+        return ExtractionResult((), _trivial_parts(fam.kappa), no_ell, "empty")
     # sigmas[alpha][zeta], computed once for grouping and greedy nesting
     sigmas = [[algebra.sigma_of(a) for a in member] for member in fam.members]
     groups = _groups(sigmas)
@@ -351,7 +359,7 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
             tuple(main),
             tuple(r.cuts for r in reports),
             tuple(seg.ell for r in reports for seg in r.segments),
-            {"strategy": "partitioning-set"},
+            "partitioning-set",
         )
     best, best_ell = [], ()
     for group in groups:
@@ -362,8 +370,5 @@ def extract_semi_homogeneous(fam: Family) -> ExtractionResult:
             if len(cand) > len(best):
                 best, best_ell = cand, cand_ell
     return ExtractionResult(
-        tuple(best),
-        _trivial_parts(fam.kappa),
-        best_ell,
-        {"strategy": "greedy-nesting"},
+        tuple(best), _trivial_parts(fam.kappa), best_ell, "greedy-nesting"
     )

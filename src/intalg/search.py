@@ -26,12 +26,19 @@ MODE_TERMS = {
     "symmetric": TERM_SYMMETRIC,
     "quadruple": TERM_QUAD,
 }
+# per mode, the position pairs (a, b) of a certificate's tuple whose ells
+# its evidence records; the first names the gap whose side it gives
+WITNESS_PAIRS = {
+    "short": ((0, 1),),
+    "symmetric": ((0, 1), (1, 2)),
+    "quadruple": ((0, 2),),
+}
 
 INSIDE = "inside"
 OUTSIDE = "outside"
 
 # candidates find_sextuple may enumerate before it raises CapacityError;
-# the most any test, benchmark task or campaign family needs is 27,171
+# the most any test, benchmark task or campaign family needs is 27,164
 MAX_SEXTUPLE_CANDIDATES = 1_000_000
 # quadruples find_quadruple's fallback may test before it raises
 # CapacityError; the most any test, benchmark task or campaign family
@@ -46,11 +53,9 @@ class CoordinateEvidence(Value):
 
 
 class Certificate(Value):
-    """per_coordinate holds one CoordinateEvidence per coordinate;
-    provenance takes no part in equality."""
+    """per_coordinate holds one CoordinateEvidence per coordinate."""
 
-    __slots__ = ("indices", "term", "mode", "per_coordinate", "provenance")
-    _uncompared = ("provenance",)
+    __slots__ = ("indices", "term", "mode", "per_coordinate")
 
     def to_dict(self) -> dict:
         return {
@@ -66,13 +71,14 @@ class Certificate(Value):
                 }
                 for c in self.per_coordinate
             ],
-            "provenance": self.provenance,
         }
 
 
 def ell_matrix(fam: Family) -> EllMatrix:
-    """Every pair's nesting-gap witnesses, bundled into gap vectors; an
-    InputError names the first coordinate that is not homogeneous."""
+    """Every pair's nesting-gap witnesses, bundled into gap vectors, after
+    homogeneity.check_witness_cap; an InputError names the first
+    coordinate that is not homogeneous."""
+    homogeneity.check_witness_cap(fam)
     per_coordinate = []
     for zeta in range(fam.kappa):
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
@@ -110,14 +116,16 @@ def required_members(v_count: int, mode: str) -> int:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _evidence(fam, vectors, idx, pairs):
-    """Per coordinate, the ells of the position pairs (a, b) of idx, and
-    the side of member idx[0] on which the first of them lies."""
-    columns = zip(*[vectors[idx[b]][idx[a]] for a, b in pairs])
-    return tuple(
+def _certificate(fam: Family, vectors, idx, mode: str) -> Certificate:
+    """The certificate that MODE_TERMS[mode] vanishes on the members idx:
+    per coordinate, the ells of the mode's WITNESS_PAIRS of idx, and the
+    side of member idx[0] on which the first of them lies."""
+    columns = zip(*[vectors[idx[b]][idx[a]] for a, b in WITNESS_PAIRS[mode]])
+    evidence = tuple(
         CoordinateEvidence(zeta, ells, gap_side(fam, zeta, idx[0], ells[0]))
         for zeta, ells in enumerate(columns)
     )
+    return Certificate(idx, MODE_TERMS[mode], mode, evidence)
 
 
 def _order_type_decider(fam: Family, vectors, term: terms.Term):
@@ -128,32 +136,29 @@ def _order_type_decider(fam: Family, vectors, term: terms.Term):
     idx's pairs there (the argument of homogeneity.order_types), so per
     coordinate it remembers the answer: a coordinate is evaluated the first
     time its ells appear, and a candidate whose ells somewhere already left
-    the term non-empty is rejected without evaluation.  A candidate it
+    the term non-empty is rejected without evaluation.  Otherwise the
+    unknown coordinates are evaluated first, then the known-empty ones,
+    each in coordinate order, up to the first non-empty one: a candidate it
     accepts has had every coordinate evaluated directly, each once.
     """
     members, order_sizes = fam.members, fam.order_sizes
     memos = [{} for _ in range(fam.kappa)]  # per coordinate: ells -> empty
 
-    def empty_at(zeta, idx):
-        values = [members[i][zeta] for i in idx]
-        return terms.evaluate(term, values, order_size=order_sizes[zeta]).is_empty()
-
     def decide(idx):
         columns = zip(*[vectors[b][a] for a, b in itertools.combinations(idx, 2)])
         unknown, known_empty = [], []
-        for zeta, (ells, empty_by_ells) in enumerate(zip(columns, memos)):
-            empty = empty_by_ells.get(ells)
-            if empty is None:
-                unknown.append((zeta, ells, empty_by_ells))
-            elif empty:
-                known_empty.append(zeta)
-            else:
+        for zeta, (ells, memo) in enumerate(zip(columns, memos)):
+            empty = memo.get(ells)
+            if empty is False:
                 return False
-        for zeta, ells, empty_by_ells in unknown:
-            empty = empty_by_ells[ells] = empty_at(zeta, idx)
+            (unknown if empty is None else known_empty).append((zeta, ells, memo))
+        for zeta, ells, memo in unknown + known_empty:
+            values = [members[i][zeta] for i in idx]
+            value = terms.evaluate(term, values, order_size=order_sizes[zeta])
+            empty = memo[ells] = value.is_empty()
             if not empty:
                 return False
-        return all(empty_at(zeta, idx) for zeta in known_empty)
+        return True
 
     return decide
 
@@ -187,8 +192,9 @@ def find_sextuple(
     coordinate when the gap lies outside a0, and -x3*x4*-x5 when it lies
     inside a3: the first candidate enumerated is the certificate.
 
-    The nest charges each a3 for the (a4, a5) pairs of its bucket, and past
-    MAX_SEXTUPLE_CANDIDATES in all it raises CapacityError.
+    The nest charges each a4 for the a5 it pairs with, before it tests any
+    of them, and past MAX_SEXTUPLE_CANDIDATES in all it raises
+    CapacityError.
     """
     if mode not in ("short", "symmetric"):
         raise InputError(f"unknown sextuple mode {mode!r}")
@@ -199,7 +205,6 @@ def find_sextuple(
     vectors = matrix.vectors
     decide = _order_type_decider(fam, vectors, term)
     symmetric = mode == "symmetric"
-    pairs = ((0, 1), (1, 2)) if symmetric else ((0, 1),)
     # buckets[a][v]: the betas > a with vector v, increasing
     buckets = [{} for _ in range(n)]
     for beta, row in enumerate(vectors):
@@ -221,20 +226,19 @@ def find_sextuple(
                 w = vectors[a2][a1] if symmetric else None
                 for a3 in pair_anchors[bisect_right(pair_anchors, a2) :]:
                     tails = buckets[a3][v]
-                    budget -= len(tails) * (len(tails) - 1) // 2
-                    if budget < 0:
-                        raise CapacityError(
-                            f"{mode}-mode sextuple search exceeds "
-                            f"{MAX_SEXTUPLE_CANDIDATES} candidates"
-                        )
                     for i, a4 in enumerate(tails):
+                        budget -= len(tails) - i - 1
+                        if budget < 0:
+                            raise CapacityError(
+                                f"{mode}-mode sextuple search exceeds "
+                                f"{MAX_SEXTUPLE_CANDIDATES} candidates"
+                            )
                         for a5 in tails[i + 1 :]:
                             if symmetric and vectors[a5][a4] != w:
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if decide(idx):
-                                evidence = _evidence(fam, vectors, idx, pairs)
-                                return Certificate(idx, term, mode, evidence, {})
+                                return _certificate(fam, vectors, idx, mode)
     return None
 
 
@@ -308,11 +312,12 @@ def find_quadruple(fam: Family) -> Certificate | None:
             f"internal consistency failure: gap-vector quadruple {idx} "
             "does not vanish"
         )
-    evidence = _evidence(fam, vectors, idx, ((0, 2),))
-    return Certificate(idx, TERM_QUAD, "quadruple", evidence, {})
+    return _certificate(fam, vectors, idx, "quadruple")
 
 
 class PipelineResult(Value):
+    """log is the run's provenance, the one record of how it was found."""
+
     __slots__ = ("certificate", "log")
 
 
@@ -350,7 +355,7 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
             [algebra.encode_endpoint(e) for e in cuts] for cuts in extraction.parts
         ],
         "flatten_map": [list(pair) for pair in flatten_map],
-        "extraction": extraction.log,
+        "extraction": {"strategy": extraction.strategy},
         "mode": mode,
     }
     if len(flat) < 6:
@@ -369,6 +374,4 @@ def pipeline(raw: Family, mode: str = "short") -> PipelineResult:
     cert = find_sextuple(flat, mode, matrix)
     if cert is None:
         info["insufficient"] = info["pigeonhole"]
-        return PipelineResult(None, info)
-    cert = Certificate(cert.indices, cert.term, cert.mode, cert.per_coordinate, info)
     return PipelineResult(cert, info)

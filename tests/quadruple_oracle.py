@@ -32,5 +32,5 @@ def naive_find_quadruple(fam):
                 CoordinateEvidence(zeta, (ell,), gap_side(fam, zeta, idx[0], ell))
                 for zeta, ell in enumerate(matrix.ell_vec(idx[0], idx[2]))
             )
-            return Certificate(idx, TERM_QUAD, "quadruple", evidence, {})
+            return Certificate(idx, TERM_QUAD, "quadruple", evidence)
     return None

@@ -8,7 +8,7 @@ search.find_sextuple must reproduce.
 
 from intalg.errors import InputError
 from intalg.product import is_zero, prod_eval
-from intalg.search import MODE_TERMS, Certificate, _evidence, ell_matrix
+from intalg.search import MODE_TERMS, _certificate, ell_matrix
 
 
 def naive_find_sextuple(fam, mode="short"):
@@ -17,7 +17,6 @@ def naive_find_sextuple(fam, mode="short"):
     matrix = ell_matrix(fam)
     n = len(fam)
     term = MODE_TERMS[mode]
-    pairs = ((0, 1), (1, 2)) if mode == "symmetric" else ((0, 1),)
 
     def vec(a, b):
         return matrix.ell_vec(a, b)
@@ -40,11 +39,5 @@ def naive_find_sextuple(fam, mode="short"):
                                 continue
                             idx = (a0, a1, a2, a3, a4, a5)
                             if is_zero(prod_eval(term, fam, idx)):
-                                return Certificate(
-                                    idx,
-                                    term,
-                                    mode,
-                                    _evidence(fam, matrix.vectors, idx, pairs),
-                                    {},
-                                )
+                                return _certificate(fam, matrix.vectors, idx, mode)
     return None

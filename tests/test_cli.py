@@ -331,6 +331,40 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(out)["term"] == "(x0^x1)*(x2^x3)"
 
+    def test_quadruple_provenance_is_empty(self, capsys, tmp_path):
+        # the Ramsey hit is a certificate of the raw family: nothing to log
+        path, _ = nested_family_file(tmp_path, n=5)
+        out_path = tmp_path / "quad.json"
+        argv = ["search", "quadruple", "--family", str(path), "--out", str(out_path)]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        cert = json.loads(out_path.read_text())
+        assert set(cert) == {"indices", "term", "mode", "coordinates", "provenance"}
+        assert cert["provenance"] == {}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homog", "check"],
+            ["homog", "extract"],
+            ["search", "sextuple"],
+            ["search", "sextuple-sym"],
+            ["search", "quadruple"],
+        ],
+    )
+    def test_witness_cap_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # 9 members: C(9, 2) = 36 nesting witnesses
+        path, _ = nested_family_file(tmp_path, n=9)
+        monkeypatch.setattr(homogeneity, "MAX_WITNESSES", 36)
+        code, _, err = run(capsys, *argv, "--family", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        monkeypatch.setattr(homogeneity, "MAX_WITNESSES", 35)
+        code, out, err = run(capsys, *argv, "--family", str(path))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": "36 nesting witnesses (9 members, kappa 1) exceed cap 35",
+        }
+
     def test_quadruple_failed_hit_exits_3(self, capsys, tmp_path, monkeypatch):
         from intalg import search, terms
 
@@ -494,8 +528,36 @@ class TestGen:
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         assert json.loads(err) == {
             "error": "CapacityError",
-            "message": "order size 1000000000 exceeds cap 1000000",
+            "message": "about 1000000000 random draws exceed cap 1000000",
         }
+
+    def test_homog_draw_cap_sums_the_coordinates(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GEN_DRAWS", 100)
+        argv = ["gen", "homog", "--seed", "0", "--count", "2", "--sigma-size", "3"]
+        code, _, err = run(capsys, *argv, "--kappa", "2", "--orders", "50,50")
+        assert (code, err) == (EXIT_OK, "")
+        code, out, err = run(capsys, *argv, "--kappa", "2", "--orders", "50,51")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert json.loads(err) == {
+            "error": "CapacityError",
+            "message": "about 101 random draws exceed cap 100",
+        }
+        # no draws without a member or a finite endpoint: no cap
+        for more in (["--count", "0"], ["--sigma-size", "2"]):
+            code, _, err = run(capsys, *argv, "--orders", "101", *more)
+            assert (code, err) == (EXIT_OK, "")
+
+    def test_draw_cap_at_the_default(self, capsys):
+        # the bound is checked before any draw: past it nothing runs long
+        cap = cli.MAX_GEN_DRAWS
+        start = time.perf_counter()
+        argv = ["gen", "homog", "--seed", "0", "--count", "2", "--sigma-size", "3"]
+        code, _, err = run(capsys, *argv, "--kappa", "3", "--orders", str(cap // 3 + 1))
+        assert code == EXIT_INPUT_ERROR
+        assert json.loads(err)["error"] == "CapacityError"
+        with pytest.raises(CapacityError, match=f"^about {cap + 5} random draws"):
+            cli.gen_random_family(0, 1, (8,), cap // 5 + 1, 2)
+        assert time.perf_counter() - start < 1
 
     def test_homog_gap_pool(self, capsys, tmp_path):
         code, out, err = run(
@@ -600,6 +662,14 @@ class TestGen:
             assert cli.gen_random_family(*args) == pool_random_family(*args)
             checked += 1
         assert checked > 250
+
+    def test_random_draw_cap(self, monkeypatch):
+        # per member and coordinate, one count and at most 2 * 3 endpoints
+        monkeypatch.setattr(cli, "MAX_GEN_DRAWS", 70)
+        assert len(cli.gen_random_family(0, 2, (8, 8), 5, 3)) == 5
+        with pytest.raises(CapacityError, match="^about 84 random draws exceed cap 70$"):
+            cli.gen_random_family(0, 2, (8, 8), 6, 3)
+        assert len(cli.gen_random_family(0, 2, (8, 8), 10, 1)) == 10
 
     def test_random_at_a_huge_order_size(self):
         # a pool of 10**9 + 1 endpoints would take gigabytes and seconds

@@ -416,15 +416,6 @@ class TestGenHomogeneous:
             (NEG_INF, 15, 16, 17),
         ]
 
-    def test_order_size_cap(self, monkeypatch):
-        monkeypatch.setattr(homogeneity, "MAX_GEN_ORDER", 50)
-        assert len(gen_homogeneous(0, 50, 2, 3)) == 2
-        with pytest.raises(CapacityError, match="^order size 51 exceeds cap 50$"):
-            gen_homogeneous(0, 51, 2, 3)
-        # no draws without a member or a finite endpoint: no cap
-        assert gen_homogeneous(0, 51, 0, 3) == []
-        assert gen_homogeneous(0, 51, 2, 2) == [algebra.empty(51)] * 2
-
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_checker_accepts_all_seeds(self, seed, k):
@@ -467,6 +458,36 @@ class TestGenHomogeneous:
         assert gen_homogeneous(0, 16, 3, 2, gap_pool=[0]) == empties
         assert gen_homogeneous(0, 16, 3, 2, gap_choices=[0, 0, 0]) == empties
         assert gen_homogeneous(0, 0, 3, 2) == [algebra.empty(0)] * 3
+
+
+class TestWitnessCap:
+    @staticmethod
+    def family():
+        # 5 members in 2 coordinates: C(5, 2) * 2 = 20 nesting witnesses
+        cols = [gen_homogeneous(z, 40, 5, 4) for z in range(2)]
+        return Family.from_columns((40, 40), cols)
+
+    def test_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(homogeneity, "MAX_WITNESSES", 20)
+        homogeneity.check_witness_cap(self.family())
+        assert extract_semi_homogeneous(self.family()).indices == tuple(range(5))
+
+    def test_past_the_cap_before_any_row(self, monkeypatch):
+        fam = self.family()
+        monkeypatch.setattr(homogeneity, "MAX_WITNESSES", 19)
+        monkeypatch.setattr(algebra, "sigma_of", None)  # no shape is read
+        message = r"^20 nesting witnesses \(5 members, kappa 2\) exceed cap 19$"
+        with pytest.raises(CapacityError, match=message):
+            extract_semi_homogeneous(fam)
+
+    def test_default_cap(self):
+        # kappa 2: the most members whose witnesses fit, then one more
+        cap = homogeneity.MAX_WITNESSES
+        n = next(n for n in itertools.count(2) if n * (n + 1) > cap)
+        member = (algebra.empty(4), algebra.empty(4))
+        homogeneity.check_witness_cap(Family(2, (4, 4), (member,) * n))
+        with pytest.raises(CapacityError, match=f"exceed cap {cap}$"):
+            homogeneity.check_witness_cap(Family(2, (4, 4), (member,) * (n + 1)))
 
 
 class TestExtract:
@@ -521,7 +542,7 @@ class TestExtract:
         cols = [blocks, gen_homogeneous(5, 20, 2, 4)]
         fam = Family.from_columns((20, 20), cols)
         result = extract_semi_homogeneous(fam)
-        assert result.log["strategy"] == "partitioning-set"
+        assert result.strategy == "partitioning-set"
         assert result.indices == (0, 1)
         assert len(result.parts[0]) == 3
         extracting = len(calls)

@@ -365,7 +365,7 @@ class TestSextupleIndexAgainstNaive:
 
 class TestSextupleBudget:
     @pytest.mark.parametrize(
-        "args, least", [((5, 2, 300, 30, 4), 5065), ((6, 3, 400, 40, 6), 17482)]
+        "args, least", [((5, 2, 300, 30, 4), 4999), ((6, 3, 400, 40, 6), 17482)]
     )
     def test_least_sufficient_budget_is_exact(self, monkeypatch, args, least):
         # the nest charges candidates deterministically: budget b finishes
@@ -395,12 +395,78 @@ class TestSextupleBudget:
         assert search_with(lo) == want
         assert search_with(lo - 1) == "capped"
 
+    def test_short_mode_charges_only_the_rows_it_reaches(self, monkeypatch):
+        # one gap throughout: a3 = 3's bucket holds members 4..8, C(5, 2) =
+        # 10 pairs, and the first candidate, (0, ..., 5), is the
+        # certificate (the short-mode lemma), reached in a4 = 4's row of 4
+        fam = nested_family(7, 1, 64, 9, 4, gap_choices=[1] * 9)
+        monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", 4)
+        assert find_sextuple(fam, "short").indices == (0, 1, 2, 3, 4, 5)
+        monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", 3)
+        message = "^short-mode sextuple search exceeds 3 candidates$"
+        with pytest.raises(CapacityError, match=message):
+            find_sextuple(fam, "short")
+
     def test_no_candidates_charge_nothing(self, monkeypatch):
         monkeypatch.setattr(search, "MAX_SEXTUPLE_CANDIDATES", 0)
         for mode in ("short", "symmetric"):
             assert find_sextuple(nested_family(4, 2, 64, 5, 4), mode) is None
         with pytest.raises(CapacityError):
             find_sextuple(nested_family(8, 1, 64, 9, 4, [1] * 9), "short")
+
+
+class TestEvaluationCounts:
+    """terms.evaluate calls that the searches make on seeded families,
+    pinned: the order-type decider evaluates a coordinate the first time
+    its ells appear and an accepted candidate's other coordinates once, so
+    a decider that evaluated more would change these counts."""
+
+    # perfbench search-homog's shapes: (kappa, members, |sigma|, seed) at
+    # order size 10 * members
+    CATALOGUE = (
+        (2, 40, 4, 0), (2, 50, 5, 1), (2, 70, 4, 3), (2, 55, 6, 4),
+        (2, 65, 5, 5), (2, 45, 5, 10), (2, 68, 6, 11), (2, 52, 4, 12),
+        (2, 62, 5, 13), (3, 40, 4, 6), (3, 60, 4, 8), (3, 40, 6, 6),
+    )
+
+    @staticmethod
+    def count(monkeypatch, searches):
+        calls, evaluate = [], terms.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(terms, "evaluate", counting)
+        for run in searches:
+            run()
+        return len(calls)
+
+    @pytest.mark.parametrize("mode, want", [("short", 135), ("symmetric", 117)])
+    def test_find_sextuple(self, monkeypatch, mode, want):
+        rng = random.Random(2024)
+        fams = [
+            TestSextupleIndexAgainstNaive.small_family(rng, seed) for seed in range(100)
+        ]
+        searches = [lambda f=f: find_sextuple(f, mode) for f in fams]
+        assert self.count(monkeypatch, searches) == want
+
+    @pytest.mark.parametrize(
+        "args, want", [((959, 3, 17, 5, 4), 5), ((646, 2, 9, 5, 3), 4)]
+    )
+    def test_find_quadruple_fallback(self, monkeypatch, args, want):
+        # no Ramsey hit on either (TestQuadrupleBudget): the fallback decides
+        fam = nested_family(*args)
+        assert self.count(monkeypatch, [lambda: find_quadruple(fam)]) == want
+
+    @pytest.mark.parametrize("mode, want", [("short", 29), ("symmetric", 30)])
+    def test_pipeline(self, monkeypatch, mode, want):
+        fams = [
+            nested_family(s, kappa, 10 * n, n, k) for kappa, n, k, s in self.CATALOGUE
+        ]
+        fams.append(gen_random_family(6, 2, (12, 12), 40, 2))  # partitioning-set
+        searches = [lambda f=f: pipeline(f, mode) for f in fams]
+        assert self.count(monkeypatch, searches) == want
 
 
 class TestRamseyQuad:
@@ -821,14 +887,18 @@ class TestPipeline:
         assert result.certificate is None
         assert result.log["insufficient"]["achieved_members"] == 4
 
-    def test_certificate_carries_provenance(self):
+    def test_provenance_only_on_the_result(self):
+        # the certificate is find_sextuple's own on the flattened family;
+        # how it was found is the result's log alone
         fam = nested_family(15, 2, 64, 9, 4, gap_choices=[0] * 9)
         result = pipeline(fam, "symmetric")
-        assert result.certificate is not None
+        flat = result_flat(fam, result)
+        assert result.certificate == find_sextuple(flat, "symmetric")
         d = result.certificate.to_dict()
-        assert set(d) == {"indices", "term", "mode", "coordinates", "provenance"}
+        assert set(d) == {"indices", "term", "mode", "coordinates"}
         assert d["mode"] == "symmetric"
-        assert d["provenance"]["pigeonhole"]["distinct_values"] >= 1
+        assert result.log["pigeonhole"]["distinct_values"] >= 1
+        assert result.log["extraction"] == {"strategy": "partitioning-set"}
         for c in d["coordinates"]:
             assert set(c) == {"zeta", "empty", "ell", "side"}
             assert c["empty"] is True
@@ -914,8 +984,8 @@ def test_extraction_witnesses_index_like_ell_matrix():
         extraction = extract_semi_homogeneous(fam)
         flat, _ = search.flatten(fam, extraction.indices, extraction.parts)
         assert EllMatrix.index(extraction.ell, len(flat)) == ell_matrix(flat)
-        strategies[extraction.log["strategy"]] += 1
-        if extraction.log["strategy"] == "partitioning-set":
+        strategies[extraction.strategy] += 1
+        if extraction.strategy == "partitioning-set":
             cuts[max((len(c) - 2 for c in extraction.parts), default=0)] += 1
     assert sum(strategies.values()) >= 290
     assert strategies["greedy-nesting"] >= 50

@@ -1,6 +1,6 @@
-"""Value semantics of every intalg value class: equality over the compared
-fields, the hash of their tuple, immutability, a dataclass-style repr,
-positional construction, and copy and pickle round trips."""
+"""Value semantics of every intalg value class: equality over every field,
+the hash of their tuple, immutability, a dataclass-style repr, positional
+construction, and copy and pickle round trips."""
 
 import copy
 import inspect
@@ -19,48 +19,46 @@ R = homogeneity.HomogeneityReport(False, None, V)
 R2 = homogeneity.HomogeneityReport(True, [[], [0]], None)
 EV = search.CoordinateEvidence(0, (1,), "inside")
 EV2 = search.CoordinateEvidence(1, (0,), None)
-CERT = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"a": 1})
+CERT = search.Certificate((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,))
 
-# (class, field names, number of compared fields (they come first), field
-# values, other field values); the tests swap in one other value at a time.
+# (class, field names, field values, other field values); the tests swap in
+# one other value at a time.
 # A second row of a class keeps the index of a class that was removed, so
 # every other row keeps its test IDs.
 CASES = [
-    (Element, ("order_size", "endpoints"), 2, (40, (3, 9)), (41, (NEG_INF, 9))),
-    (Element, ("order_size", "endpoints"), 2, (5, ()), (3, (NEG_INF, POS_INF))),
-    (homogeneity.Violation, ("clause", "pair", "detail"), 3, (3, (0, 1), "no gap"), (1, (0, 2), "size")),
-    (homogeneity.HomogeneityReport, ("ok", "ell", "violation"), 3, (False, None, V), (True, [[], [0]], None)),
-    (homogeneity.SemiHomogeneityReport, ("ok", "cuts", "segments"), 3, (False, (NEG_INF, 5, POS_INF), (R,)), (True, (NEG_INF, POS_INF), (R2,))),
-    (homogeneity.EllMatrix, ("vectors",), 1, (((), ((0,),)),), ([[], [(1,)]],)),
+    (Element, ("order_size", "endpoints"), (40, (3, 9)), (41, (NEG_INF, 9))),
+    (Element, ("order_size", "endpoints"), (5, ()), (3, (NEG_INF, POS_INF))),
+    (homogeneity.Violation, ("clause", "pair", "detail"), (3, (0, 1), "no gap"), (1, (0, 2), "size")),
+    (homogeneity.HomogeneityReport, ("ok", "ell", "violation"), (False, None, V), (True, [[], [0]], None)),
+    (homogeneity.SemiHomogeneityReport, ("ok", "cuts", "segments"), (False, (NEG_INF, 5, POS_INF), (R,)), (True, (NEG_INF, POS_INF), (R2,))),
+    (homogeneity.EllMatrix, ("vectors",), (((), ((0,),)),), ([[], [(1,)]],)),
     (
         homogeneity.ExtractionResult,
-        ("indices", "parts", "ell", "log"),
-        2,
-        ((0, 1), ((NEG_INF, POS_INF),), ([[], [0]],), {"strategy": "greedy-nesting"}),
-        ((0, 2), ((NEG_INF, 5, POS_INF),), ([[], [1]],), {"strategy": "empty"}),
+        ("indices", "parts", "ell", "strategy"),
+        ((0, 1), ((NEG_INF, POS_INF),), ([[], [0]],), "greedy-nesting"),
+        ((0, 2), ((NEG_INF, 5, POS_INF),), ([[], [1]],), "empty"),
     ),
-    (product.Family, ("kappa", "order_sizes", "members"), 3, (1, (40,), ((E,),)), (1, (40,), ((E2,),))),
-    (product.Family, ("kappa", "order_sizes", "members"), 3, (1, (40,), ()), (1, (41,), ())),
-    (product.DependenceWitness, ("pattern", "gamma", "nabla"), 3, ((1, 0), (0,), (1,)), ((0, 1), (1,), (0,))),
-    (terms.Var, ("index",), 1, (0,), (1,)),
-    (terms.Zero, (), 0, (), ()),
-    (terms.One, (), 0, (), ()),
-    (terms.Meet, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
-    (terms.Join, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
-    (terms.SymDiff, ("left", "right"), 2, (X0, X1), (X1, terms.ONE)),
-    (terms.Compl, ("arg",), 1, (X0,), (terms.ZERO,)),
-    (terms.Meet, ("left", "right"), 2, (terms.Compl(X0), terms.Join(X0, X1)), (X0, terms.Compl(X1))),
-    (search.CoordinateEvidence, ("zeta", "ell", "side"), 3, (0, (1,), "inside"), (1, (0,), None)),
+    (product.Family, ("kappa", "order_sizes", "members"), (1, (40,), ((E,),)), (1, (40,), ((E2,),))),
+    (product.Family, ("kappa", "order_sizes", "members"), (1, (40,), ()), (1, (41,), ())),
+    (product.DependenceWitness, ("pattern", "gamma", "nabla"), ((1, 0), (0,), (1,)), ((0, 1), (1,), (0,))),
+    (terms.Var, ("index",), (0,), (1,)),
+    (terms.Zero, (), (), ()),
+    (terms.One, (), (), ()),
+    (terms.Meet, ("left", "right"), (X0, X1), (X1, terms.ONE)),
+    (terms.Join, ("left", "right"), (X0, X1), (X1, terms.ONE)),
+    (terms.SymDiff, ("left", "right"), (X0, X1), (X1, terms.ONE)),
+    (terms.Compl, ("arg",), (X0,), (terms.ZERO,)),
+    (terms.Meet, ("left", "right"), (terms.Compl(X0), terms.Join(X0, X1)), (X0, terms.Compl(X1))),
+    (search.CoordinateEvidence, ("zeta", "ell", "side"), (0, (1,), "inside"), (1, (0,), None)),
     (
         search.Certificate,
-        ("indices", "term", "mode", "per_coordinate", "provenance"),
-        4,
-        ((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,), {"a": 1}),
-        ((1, 2, 3, 4), search.TERM_SHORT, "short", (EV2,), {"b": [2]}),
+        ("indices", "term", "mode", "per_coordinate"),
+        ((0, 1, 2, 3), search.TERM_QUAD, "quadruple", (EV,)),
+        ((1, 2, 3, 4), search.TERM_SHORT, "short", (EV2,)),
     ),
-    (search.PipelineResult, ("certificate", "log"), 2, (CERT, {"mode": "short"}), (None, {"mode": "symmetric"})),
-    (search.PipelineResult, ("certificate", "log"), 2, (None, {}), (CERT, {"mode": "quadruple"})),
-    (triples.SweepReport, ("triples", "interior", "boundary", "counterexamples"), 4, (10, 6, 4, ()), (11, 7, 3, (((3,), (4,), (5,)),))),
+    (search.PipelineResult, ("certificate", "log"), (CERT, {"mode": "short"}), (None, {"mode": "symmetric"})),
+    (search.PipelineResult, ("certificate", "log"), (None, {}), (CERT, {"mode": "quadruple"})),
+    (triples.SweepReport, ("triples", "interior", "boundary", "counterexamples"), (10, 6, 4, ()), (11, 7, 3, (((3,), (4,), (5,)),))),
 ]
 
 IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]
@@ -87,13 +85,13 @@ def hash_or_type_error(value):
         return TypeError
 
 
-@pytest.mark.parametrize("cls, names, compared, values, others", CASES, ids=IDS)
+@pytest.mark.parametrize("cls, names, values, others", CASES, ids=IDS)
 class TestValueSemantics:
-    def test_fields(self, cls, names, compared, values, others):
+    def test_fields(self, cls, names, values, others):
         x = cls(*values)
         assert [getattr(x, f) for f in names] == list(values)
 
-    def test_equality_reads_the_compared_fields(self, cls, names, compared, values, others):
+    def test_equality_reads_the_compared_fields(self, cls, names, values, others):
         x = cls(*values)
         assert x == cls(*values) and not x != cls(*values)
         assert x != (*values,) and x != object()
@@ -101,19 +99,15 @@ class TestValueSemantics:
             if others[i] == values[i]:
                 continue
             changed = cls(*values[:i], others[i], *values[i + 1 :])
-            if i < compared:
-                assert x != changed and not x == changed
-            else:
-                assert x == changed
-                assert hash_or_type_error(x) == hash_or_type_error(changed)
+            assert x != changed and not x == changed
 
-    def test_hash_is_the_hash_of_the_compared_fields(self, cls, names, compared, values, others):
+    def test_hash_is_the_hash_of_the_compared_fields(self, cls, names, values, others):
         for vals in (values, others):
             x = cls(*vals)
-            expected = hash_or_type_error(tuple(vals[:compared]))
+            expected = hash_or_type_error(tuple(vals))
             assert hash_or_type_error(x) == expected
 
-    def test_frozen(self, cls, names, compared, values, others):
+    def test_frozen(self, cls, names, values, others):
         x = cls(*values)
         for f in (*names, "extra"):
             with pytest.raises(AttributeError):
@@ -123,7 +117,7 @@ class TestValueSemantics:
         assert [getattr(x, f) for f in names] == list(values)
         assert not hasattr(x, "__dict__")
 
-    def test_repr(self, cls, names, compared, values, others):
+    def test_repr(self, cls, names, values, others):
         x = cls(*values)
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
         assert repr(x) == f"{cls.__name__}({fields})"
@@ -133,7 +127,7 @@ class TestValueSemantics:
         [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
         ids=["copy", "deepcopy", "pickle"],
     )
-    def test_copies_are_equal(self, cls, names, compared, values, others, duplicate):
+    def test_copies_are_equal(self, cls, names, values, others, duplicate):
         x = cls(*values)
         y = duplicate(x)
         assert type(y) is cls and y == x
@@ -159,7 +153,7 @@ def test_own_inits_take_no_defaults():
 
 
 def test_value_init_takes_every_field_positionally():
-    for cls, names, _, values, _ in CASES:
+    for cls, names, values, _ in CASES:
         if cls.__init__ is not Value.__init__:
             continue
         with pytest.raises(TypeError):
