@@ -183,11 +183,14 @@ def _cmd_homog_check(args) -> int:
         report = homogeneity.check_homogeneous(fam.coordinate(zeta))
         entry = {"zeta": zeta, "homogeneous": report.ok}
         if report.ok:
-            entry["ell"] = sorted(
-                [alpha, beta, ell]
-                for beta, row in enumerate(report.ell)
-                for alpha, ell in enumerate(row)
-            )
+            # row beta holds ell for each alpha < beta: read alpha-major,
+            # with one int object per index (slices share them)
+            rows, members = report.ell, list(range(len(report.ell)))
+            entry["ell"] = [
+                [alpha, beta, rows[beta][alpha]]
+                for alpha in members
+                for beta in members[alpha + 1 :]
+            ]
         else:
             entry["violation"] = {
                 "clause": report.violation.clause,

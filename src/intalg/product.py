@@ -9,6 +9,7 @@ chosen members must have a nonzero meet in at least one coordinate.
 from __future__ import annotations
 
 import itertools
+from operator import getitem
 
 from . import algebra, terms
 from .algebra import Element
@@ -144,12 +145,19 @@ def is_zero(values) -> bool:
     return all(a.is_empty() for a in values)
 
 
-def _pattern_meet(order_size, elements, pattern) -> Element:
-    acc = algebra.full(order_size)
-    for a, sign in zip(elements, pattern):
-        acc = algebra.meet(acc, a if sign else algebra.complement(a))
+def _pattern_meet(order_size, signed, pattern) -> Element:
+    """The meet of the members pattern picks, signed[j][sign] being member
+    j (sign 1) or its complement (sign 0): the full element for an empty
+    pattern.  It starts from the first pick, so n picks cost n - 1 meets,
+    and stops at the first empty prefix."""
+    picked = map(getitem, signed, pattern)
+    acc = next(picked, None)
+    if acc is None:
+        return algebra.full(order_size)
+    for a in picked:
         if acc.is_empty():
             break
+        acc = algebra.meet(acc, a)
     return acc
 
 
@@ -168,15 +176,18 @@ def is_independent(fam: Family, indices):
     for i in indices:
         if not 0 <= i < len(fam):
             raise InputError(f"member index {i} out of range")
+    # per coordinate, each chosen member's pair (complement, member), built
+    # once and indexed by the pattern's sign
+    chosen = [fam.members[i] for i in indices]
+    coordinates = [
+        (p, [(algebra.complement(m[zeta]), m[zeta]) for m in chosen])
+        for zeta, p in enumerate(fam.order_sizes)
+    ]
     for pattern in itertools.product((0, 1), repeat=n):
-        nonzero = False
-        for zeta in range(fam.kappa):
-            chosen = [fam.members[i][zeta] for i in indices]
-            meet = _pattern_meet(fam.order_sizes[zeta], chosen, pattern)
-            if not meet.is_empty():
-                nonzero = True
+        for p, signed in coordinates:
+            if not _pattern_meet(p, signed, pattern).is_empty():
                 break
-        if not nonzero:
+        else:
             gamma = tuple(j for j, s in enumerate(pattern) if s == 1)
             nabla = tuple(j for j, s in enumerate(pattern) if s == 0)
             return False, DependenceWitness(pattern, gamma, nabla)

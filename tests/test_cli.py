@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, files, determinism."""
 
 import argparse
+import contextlib
 import errno
+import io
 import itertools
 import json
 import os
@@ -13,6 +15,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intalg import algebra, cli, homogeneity, product
 from intalg.cli import (
@@ -195,6 +199,44 @@ class TestHomog:
         ]
         assert report["coordinates"][0]["ell"] == want
         assert len({ell for _, _, ell in want}) > 1
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_check_bytes_match_the_sorted_witnesses(self, capsys, tmp_path, kappa):
+        # the ell rows read alpha-major give the bytes of all [alpha, beta,
+        # ell] entries sorted, on homogeneous and non-homogeneous coordinates
+        rng = random.Random(kappa)
+        for _ in range(4):
+            n, k = rng.randint(0, 12), rng.randint(2, 6)
+            columns = [
+                homogeneity.gen_homogeneous(rng.randrange(1000), 80, n, k)
+                if rng.random() < 0.8
+                else pool_random_family(rng.random(), 1, (80,), n, 2).coordinate(0)
+                for _ in range(kappa)
+            ]
+            path = tmp_path / "family.json"
+            write_family(path, Family.from_columns((80,) * kappa, columns, n))
+            code, out, _ = run(capsys, "homog", "check", "--family", str(path))
+            coordinates = []
+            for column in columns:
+                report = homogeneity.check_homogeneous(column)
+                entry = {"zeta": len(coordinates), "homogeneous": report.ok}
+                if report.ok:
+                    entry["ell"] = sorted(
+                        [alpha, beta, ell]
+                        for beta, row in enumerate(report.ell)
+                        for alpha, ell in enumerate(row)
+                    )
+                else:
+                    v = report.violation
+                    entry["violation"] = {
+                        "clause": v.clause, "pair": list(v.pair), "detail": v.detail
+                    }
+                coordinates.append(entry)
+            want = {
+                "homogeneous": all(c["homogeneous"] for c in coordinates),
+                "coordinates": coordinates,
+            }
+            assert code == EXIT_OK and out == cli._dump(want)
 
     def test_check_violation(self, capsys, tmp_path):
         fam = Family(
@@ -850,6 +892,136 @@ class TestRobustness:
         if term.count("-") % 2:
             value = ~value
         assert json.loads(out)["coordinates"] == [value.to_json()]
+
+
+# small valid values; with them the odd ones: -1, '-'-prefixed values,
+# empty lists and non-numbers
+_SMALL = st.sampled_from(["0", "1", "2", "3", "5"])
+_ODD = st.sampled_from(["-1", "-2", "-", "", "x", "1.5"])
+_SMALL_LISTS = st.lists(st.integers(0, 5), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_ODD_LISTS = st.sampled_from(["", " ", ",", "-1", "-", "-1,2", "a,b"])
+_TERMS = st.sampled_from(
+    ["x0", "x0*x1", "-x0", "(x0+x1)^x2", "x0*-x1", "x3", "0", "1", "", "-", "(", "x0**"]
+)
+
+
+def _family_documents():
+    """name -> file content: valid families and the malformed kinds."""
+    seq = homogeneity.gen_homogeneous(7, 64, 9, 4, gap_choices=[1] * 9)
+    valid = [
+        Family.from_columns((64,), [seq]),
+        cli.gen_random_family(3, 2, (8, 8), 5, 2),
+        Family(0, (), ((),) * 3),  # kappa 0
+        Family(1, (5,), ()),  # no members
+        Family(2, (0, 0), ((algebra.empty(0),) * 2,) * 3),  # order size 0
+    ]
+    docs = {f"valid-{i}": json.dumps(fam.to_dict()) for i, fam in enumerate(valid)}
+    docs.update(
+        {
+            "extra-keys": json.dumps({**valid[1].to_dict(), "extra": [1]}),
+            "kappa-string": '{"kappa": "1", "order_sizes": [4], "elements": []}',
+            "endpoint-string": '{"kappa": 1, "order_sizes": [4], "elements": [[["x"]]]}',
+            "member-not-list": '{"kappa": 1, "order_sizes": [4], "elements": [3]}',
+            "order-float": '{"kappa": 1, "order_sizes": [4.0], "elements": []}',
+            "not-object": "[1, 2]",
+            "null": "null",
+            "deep-nesting": "[" * 100_000 + "]" * 100_000,
+            "empty-file": "",
+        }
+    )
+    return docs
+
+
+class TestContract:
+    """Every leaf of the CLI, driven in-process on small and malformed
+    arguments: exit 0, 1 or 2 and never 3; exit 2 writes one JSON error
+    record and no traceback; exits 0 and 1 write JSON; the same argv gives
+    the same bytes twice."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contract")
+        paths = {}
+        for name, text in _family_documents().items():
+            paths[name] = root / f"{name}.json"
+            paths[name].write_text(text)
+        paths["bad-utf8"] = root / "bad-utf8.json"
+        paths["bad-utf8"].write_bytes(b"\xff\xfe")
+        paths["missing"] = root / "missing.json"
+        paths["directory"] = root
+        return {name: str(path) for name, path in paths.items()}, root
+
+    @staticmethod
+    def argv_strategy(families, odd):
+        """argv for one leaf; its values are small and valid, or with odd
+        true may be odd ones too."""
+        fam = st.sampled_from(sorted(families.values()))
+        ints = _SMALL | _ODD if odd else _SMALL
+        lists = _SMALL_LISTS | _ODD_LISTS if odd else _SMALL_LISTS
+
+        def leaf(*parts):
+            return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+
+        return st.one_of(
+            leaf("canon", "--order", ints, "--points", lists),
+            leaf("eval", "--family", fam, "--term", _TERMS, "--assign", lists),
+            leaf("independent", "--family", fam, "--indices", lists),
+            leaf("homog", "check", "--family", fam),
+            leaf("homog", "extract", "--family", fam),
+            # at the caps and past them, where the check comes before the work
+            leaf("lemma16", "verify", "--max-order",
+                 st.sampled_from(["7", str(MAX_SWEEP_ORDER), str(MAX_SWEEP_ORDER + 1)])
+                 | ints,
+                 "--max-k", st.sampled_from(["4", "6", "7"]) | ints),
+            leaf("search", st.sampled_from(["sextuple", "sextuple-sym", "quadruple"]),
+                 "--family", fam),
+            leaf("ramsey", "quad", "--colors", ints,
+                 "--n", st.sampled_from(["12", str(cli.MAX_RAMSEY_N + 1)]) | ints,
+                 "--seed", ints),
+            leaf("gen", "homog", "--seed", ints, "--kappa", ints, "--orders",
+                 st.sampled_from(["40", "8,40"]) | lists, "--count", ints,
+                 "--sigma-size", ints),
+            leaf("gen", "homog", "--seed", ints, "--orders", "40", "--count", ints,
+                 "--sigma-size", ints, "--gap-pool", lists),
+            leaf("gen", "random", "--seed", ints, "--kappa", ints, "--orders",
+                 st.sampled_from(["8", "8,9"]) | lists, "--count", ints,
+                 "--max-intervals", ints),
+        )
+
+    @staticmethod
+    def call(argv, written):
+        if os.path.exists(written):
+            os.unlink(written)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        text = open(written).read() if os.path.exists(written) else None
+        return code, out.getvalue(), err.getvalue(), text
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_leaf_keeps_the_contract(self, files, data):
+        families, root = files
+        odd = data.draw(st.booleans(), label="odd values")
+        argv = list(data.draw(self.argv_strategy(families, odd), label="argv"))
+        written = str(root / "out.json")
+        if data.draw(st.booleans(), label="--out"):
+            argv += ["--out", written]
+        if odd and data.draw(st.booleans(), label="drop the last token"):
+            argv.pop()
+        first, second = self.call(argv, written), self.call(argv, written)
+        assert first == second, argv
+        code, out, err, text = first
+        assert code in (EXIT_OK, EXIT_NO_WITNESS, EXIT_INPUT_ERROR), (argv, err)
+        if code == EXIT_INPUT_ERROR:
+            assert out == "" and "Traceback" not in err, argv
+            assert err.endswith("\n") and err.count("\n") == 1, argv
+            assert set(json.loads(err)) == {"error", "message"}
+        else:
+            assert err == "", argv
+            json.loads(out if text is None else text)
 
 
 class TestDeterminism:

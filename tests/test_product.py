@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intalg import algebra, terms
@@ -13,6 +14,7 @@ from intalg.errors import CapacityError, InputError
 from intalg.product import Family, is_independent, is_zero, prod_eval
 
 from .conftest import random_element
+from .independence_oracle import naive_is_independent
 from .pointset_oracle import all_elements, oracle_is_nontrivial
 
 
@@ -207,6 +209,99 @@ class TestIndependence:
             if ok:
                 for sub in itertools.combinations(range(4), 3):
                     assert is_independent(fam, sub)[0]
+
+
+def _elements(p):
+    if p == 0:
+        return st.just(algebra.empty(0))
+    points = st.sets(st.integers(min_value=0, max_value=p - 1))
+    return points.map(lambda pts: algebra.from_point_set(p, pts))
+
+
+@st.composite
+def independence_cases(draw):
+    """(family, indices): up to 3 coordinates at order sizes 0-9, each
+    member fresh, a repeat of the one before it or its complement, and
+    the indices a subset in any order."""
+    kappa = draw(st.integers(min_value=0, max_value=3))
+    sizes = st.integers(min_value=0, max_value=9)
+    order_sizes = tuple(draw(st.lists(sizes, min_size=kappa, max_size=kappa)))
+    members = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "complement"]))
+        if kind == "repeat" and members:
+            members.append(members[-1])
+        elif kind == "complement" and members:
+            members.append(tuple(map(algebra.complement, members[-1])))
+        else:
+            members.append(tuple(draw(_elements(p)) for p in order_sizes))
+    positions = st.integers(min_value=0, max_value=max(len(members) - 1, 0))
+    indices = draw(st.lists(positions, unique=True, max_size=len(members)))
+    return Family(kappa, order_sizes, tuple(members)), indices
+
+
+_a, _b = algebra.from_point_set(4, {0, 1}), algebra.from_point_set(4, {0, 2})
+_not_a = algebra.complement(_a)
+_e0 = algebra.empty(0)
+
+
+class TestIndependenceAgainstOracle:
+    @given(independence_cases())
+    @example((Family(1, (0,), ()), []))  # n = 0 at order size 0: dependent
+    @example((Family(2, (0, 5), ()), []))  # n = 0 at order size > 0
+    @example((Family(0, (), ((),) * 3), [2, 0, 1]))  # kappa 0
+    @example((single_coordinate(1, [algebra.full(1), algebra.empty(1)]), [0, 1]))
+    @example((single_coordinate(1, [algebra.full(1)]), [0]))  # order size 1
+    @example((single_coordinate(4, [_a, _not_a, _b]), [0, 1, 2]))  # a next to ~a
+    @example((single_coordinate(4, [_b, _a, _a]), [1, 2, 0]))  # repeated members
+    # kappa 2, only the second coordinate can be nonzero
+    @example((Family(2, (0, 4), ((_e0, _a), (_e0, _b))), [0, 1]))
+    @example((Family(2, (0, 4), ((_e0, _a), (_e0, _not_a))), [1, 0]))
+    @example((Family.from_columns((3, 4), [[algebra.empty(3)] * 2, [_a, _b]]), [0, 1]))
+    @settings(max_examples=300)
+    def test_matches_naive(self, case):
+        fam, indices = case
+        assert is_independent(fam, indices) == naive_is_independent(fam, indices)
+
+
+class TestIndependenceWork:
+    """algebra.meet and algebra.complement calls that is_independent makes,
+    pinned: each chosen member is complemented once per coordinate, and a
+    pattern's meet folds from its first signed member, n - 1 meets a
+    coordinate when no prefix of it is empty."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("meet", "complement"):
+
+            def counting(*args, op=getattr(algebra, name), name=name):
+                calls[name] += 1
+                return op(*args)
+
+            monkeypatch.setattr(algebra, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_binary_coding_family(self, calls, n):
+        assert is_independent(binary_coding_family(n), range(n)) == (True, None)
+        assert (calls["meet"], calls["complement"]) == ((1 << n) * (n - 1), n)
+
+    def test_stops_at_the_first_empty_prefix(self, calls):
+        # ~a meet a is empty, so pattern (0, 0, 0) fails after one meet
+        fam = single_coordinate(4, [_a, _not_a, _b])
+        assert is_independent(fam, [0, 1, 2])[1].pattern == (0, 0, 0)
+        assert (calls["meet"], calls["complement"]) == (1, 3)
+
+    def test_two_coordinates(self, calls):
+        rng = random.Random(26)
+        for n in range(7):
+            for _ in range(20):
+                fam = random_family(rng, 2, (8, 8), n)
+                calls.clear()
+                is_independent(fam, range(n))
+                assert calls["complement"] <= n * fam.kappa
+                assert calls["meet"] <= (1 << n) * max(n - 1, 0) * fam.kappa
 
 
 def _pattern_term(pattern):
